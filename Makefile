@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet tier1 bench bench-smoke bench-guard bench-shards docs lint golden golden-check race-probe city-scale-smoke shard-race serve-race serve-wire-race fuzz-smoke serve-soak clean
+.PHONY: all build test vet tier1 bench bench-smoke bench-guard bench-shards docs lint golden golden-check race-probe city-scale-smoke shard-race serve-race serve-wire-race fuzz-smoke serve-soak bench-module-test clean
 
 all: build
 
@@ -148,6 +148,13 @@ bench-shards:
 # gate on; allocation counts are exact, so they make the durable ratchet.
 bench-guard:
 	./scripts/bench_guard.sh
+
+# bench-module-test builds and tests the end-to-end benchmark, which is its
+# own module (fourbitbench/go.mod, replacing fourbit with ../): the root
+# `go build ./... && go test ./...` never compiles it, so a serve, client or
+# wire API change could otherwise break the benchmark unseen. ~30-40 s.
+bench-module-test:
+	cd fourbitbench && $(GO) test ./...
 
 # BENCH_*.json snapshots are committed perf history — clean leaves them.
 clean:

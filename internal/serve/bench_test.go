@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,8 +15,17 @@ import (
 	"fourbit/internal/sim"
 )
 
+// footerSizes is the footer-length mix of a recorded feed, per mille:
+// entry k is the share of beacons carrying k footer entries. Source: the
+// 85 per-node feeds of `fourbitsim scenario -preset baseline -minutes 5
+// -estfeed-dir DIR` (4B on Mirage, seed 1 — the run the serve-replay
+// benchmark replays), 285,839 beacons. Footers stop at 8 entries, the
+// default core.Config.FooterEntries; half the beacons carry all 8.
+var footerSizes = [...]int{14, 22, 31, 40, 54, 67, 109, 142, 521}
+
 // benchLines builds a representative wire stream: mostly footered beacons,
-// some tx/rx/age — the shape a scenario feed replays.
+// some tx/rx/age — the shape a scenario feed replays. Footer lengths follow
+// footerSizes, so the per-entry decode cost weighs as it does on a feed.
 func benchLines(n int) [][]byte {
 	r := sim.NewRand(0xBE7C)
 	var now int64
@@ -27,8 +38,15 @@ func benchLines(n int) [][]byte {
 		switch k := r.Intn(10); {
 		case k < 6:
 			seqs[src]++
-			line = fmt.Sprintf(`{"ev":"beacon","at":%d,"src":%d,"seq":%d,"lqi":%d,"white":true,"links":[{"addr":0,"q":%d}]}`,
-				now, src, seqs[src], 40+r.Intn(80), r.Intn(256))
+			line = fmt.Sprintf(`{"ev":"beacon","at":%d,"src":%d,"seq":%d,"lqi":%d,"white":true`,
+				now, src, seqs[src], 40+r.Intn(80))
+			if links := make([]string, footerLen(r)); len(links) > 0 {
+				for j := range links {
+					links[j] = fmt.Sprintf(`{"addr":%d,"q":%d}`, r.Intn(85), r.Intn(256))
+				}
+				line += `,"links":[` + strings.Join(links, ",") + `]`
+			}
+			line += "}"
 		case k < 8:
 			line = fmt.Sprintf(`{"ev":"tx","at":%d,"dest":%d,"acked":%v}`, now, src, r.Bernoulli(0.7))
 		case k < 9:
@@ -39,6 +57,18 @@ func benchLines(n int) [][]byte {
 		out = append(out, []byte(line))
 	}
 	return out
+}
+
+// footerLen draws a footer length from footerSizes.
+func footerLen(r *sim.Rand) int {
+	x := r.Intn(1000)
+	for k, w := range footerSizes {
+		if x < w {
+			return k
+		}
+		x -= w
+	}
+	return len(footerSizes) - 1
 }
 
 // benchFrame encodes the same stream benchLines yields as one binary frame,
@@ -81,13 +111,16 @@ func BenchmarkServeDecodeEvent(b *testing.B) {
 	}
 }
 
+// benchQueueDepth is the bench instances' ring size.
+const benchQueueDepth = 1024
+
 // benchInstances builds n warm estimator instances and registers cleanup.
 func benchInstances(b *testing.B, n int) []*instance {
 	b.Helper()
 	ins := make([]*instance, n)
 	for i := range ins {
 		in, err := newInstance(fmt.Sprintf("bench-%d", i), core.KindFourBit, 0, core.DefaultConfig(),
-			uint64(i), 1024, Backpressure)
+			uint64(i), benchQueueDepth, Backpressure)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,13 +130,30 @@ func benchInstances(b *testing.B, n int) []*instance {
 	return ins
 }
 
+// admitAll pushes evs through enqueueBatch, waiting out the worker
+// whenever the ring is full.
+func admitAll(b *testing.B, in *instance, evs []Event) {
+	for len(evs) > 0 {
+		n, err := in.enqueueBatch(evs)
+		evs = evs[n:]
+		if err == nil {
+			return
+		}
+		if err != ErrQueueFull {
+			b.Error(err)
+			return
+		}
+		in.barrier(nil) // wait out the worker, then retry
+	}
+}
+
 // BenchmarkServeIngest measures end-to-end ingest throughput past the HTTP
 // edge for both wire formats: 8 concurrent instances, each decoding and
 // applying a 512-event batch per op through its bounded queue and worker,
-// barrier-synced. The jsonl leg decodes line by line and admits event by
-// event; the binary leg decodes one frame and admits the batch in one ring
-// transaction — the tentpole hot path. events/sec is the per-process
-// ceiling; allocs/op is budgeted in scripts/alloc_budget.txt.
+// barrier-synced. The jsonl leg decodes and admits line by line, as the
+// handler does; the binary leg decodes one frame and admits it whole. Both
+// admit through enqueueBatch. events/sec is the
+// per-process ceiling; allocs/op is budgeted in scripts/alloc_budget.txt.
 func BenchmarkServeIngest(b *testing.B) {
 	const instances = 8
 	const batch = 512
@@ -111,20 +161,45 @@ func BenchmarkServeIngest(b *testing.B) {
 
 	bench := func(b *testing.B, run func(in *instance, slot int)) {
 		ins := benchInstances(b, instances)
-		iter := func() {
-			var wg sync.WaitGroup
-			for i, in := range ins {
-				i, in := i, in
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
+		// One long-lived feeder goroutine per instance, so an op spawns
+		// nothing: the measured allocations are the ingest path's own.
+		var wg sync.WaitGroup
+		start := make([]chan struct{}, len(ins))
+		for i, in := range ins {
+			start[i] = make(chan struct{})
+			go func(i int, in *instance) {
+				for range start[i] {
 					run(in, i)
 					in.barrier(nil)
-				}()
+					wg.Done()
+				}
+			}(i, in)
+		}
+		b.Cleanup(func() {
+			for _, c := range start {
+				close(c)
+			}
+		})
+		iter := func() {
+			wg.Add(len(ins))
+			for _, c := range start {
+				c <- struct{}{}
 			}
 			wg.Wait()
 		}
-		iter() // warm slot buffers and tables so 1x runs are steady-state
+		// Warm the estimator tables and every ring slot's Links buffer
+		// (a slot allocates on its first footered beacon, and each op
+		// writes batch slots), so 1x runs measure steady state. A
+		// collection empties the runtime's central sudog cache, which
+		// blocked channel and cond operations draw from: collect the
+		// setup garbage now and refill the cache before measuring.
+		for w := 0; w < benchQueueDepth/batch; w++ {
+			iter()
+		}
+		runtime.GC()
+		for w := 0; w < benchQueueDepth/batch; w++ {
+			iter()
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -135,26 +210,15 @@ func BenchmarkServeIngest(b *testing.B) {
 	}
 
 	b.Run("jsonl", func(b *testing.B) {
-		decs := make([]EventDecoder, instances)
+		scratch := make([]jsonlScratch, instances)
 		bench(b, func(in *instance, slot int) {
-			dec := &decs[slot]
-			var ev Event
+			js := &scratch[slot]
 			for _, line := range lines {
-				if err := dec.Decode(line, &ev); err != nil {
+				if err := js.dec.Decode(line, &js.ev[0]); err != nil {
 					b.Error(err)
 					return
 				}
-				for {
-					err := in.enqueue(&ev)
-					if err == nil {
-						break
-					}
-					if err != ErrQueueFull {
-						b.Error(err)
-						return
-					}
-					in.barrier(nil) // wait out the worker, then retry
-				}
+				admitAll(b, in, js.ev[:])
 			}
 		})
 	})
@@ -180,18 +244,7 @@ func BenchmarkServeIngest(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				for len(evs) > 0 {
-					n, err := in.enqueueBatch(evs)
-					evs = evs[n:]
-					if err == nil {
-						break
-					}
-					if err != ErrQueueFull {
-						b.Error(err)
-						return
-					}
-					in.barrier(nil) // wait out the worker, then retry
-				}
+				admitAll(b, in, evs)
 			}
 		})
 	})

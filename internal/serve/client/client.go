@@ -104,7 +104,7 @@ func (f *Feed) Send(ev *wire.Event) error {
 	}
 	start := len(f.buf)
 	if f.opts.JSONL {
-		if _, err := wire.AppendEvent(f.frame[:0], ev); err != nil {
+		if err := wire.CheckEvent(ev); err != nil {
 			return err // same validation as binary, so both formats refuse alike
 		}
 		f.buf = wire.AppendJSONLEvent(f.buf, ev)

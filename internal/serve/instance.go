@@ -127,50 +127,17 @@ func newInstance(name string, kind core.EstimatorKind, self packet.Addr, cfg cor
 	return in, nil
 }
 
-// enqueue admits one event under the overflow policy. The Links slice is
-// deep-copied into the queue slot: the decoder's scratch is reused per line,
-// but queued events outlive the line.
-func (in *instance) enqueue(ev *Event) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.closed {
-		return ErrClosed
-	}
-	if in.quarantined {
-		in.stats.Quarantined++
-		return ErrQuarantined
-	}
-	if in.count == len(in.queue) {
-		if in.policy == Backpressure {
-			in.stats.Backpressured++
-			return ErrQueueFull
-		}
-		// DropOldest: evict the head slot and admit into it.
-		in.head = (in.head + 1) % len(in.queue)
-		in.count--
-		in.stats.DroppedOldest++
-		// The dropped event still counts as consumed for the barrier:
-		// Applied tracks "left the queue", whether applied or evicted.
-		in.stats.Applied++
-	}
-	slot := &in.queue[(in.head+in.count)%len(in.queue)]
-	links := slot.Links // the slot's own buffer, not the decoder's scratch
-	*slot = *ev
-	slot.Links = append(links[:0], ev.Links...)
-	in.count++
-	in.stats.Enqueued++
-	in.cond.Broadcast()
-	return nil
-}
-
 // enqueueBatch admits a run of events under one lock acquisition and one
-// worker wakeup — the binary ingest path's admission, where the ring and
-// barrier bookkeeping are paid once per batch instead of once per event.
-// Each event is admitted with semantics identical to enqueue (same counter
-// increments, same overflow policy, in order); on the first refusal the
-// batch stops and the error reports why, with accepted saying how many
-// events made it in — the suffix evs[accepted:] was not admitted and a
-// backpressured client retries exactly that.
+// worker wakeup — the admission routine of both wire formats, so ring and
+// barrier bookkeeping are paid once per run instead of once per event.
+// Events are admitted in order under the overflow policy, each counted in
+// Enqueued; a full ring either refuses (Backpressure: Backpressured counts
+// the one refused event) or evicts its head (DropOldest). On the first
+// refusal the run stops and the error reports why, with accepted saying
+// how many events made it in — the suffix evs[accepted:] was not admitted
+// and a backpressured client retries exactly that. Each admitted event's
+// Links are deep-copied into its ring slot: decoders reuse their scratch,
+// but queued events outlive it.
 func (in *instance) enqueueBatch(evs []Event) (accepted int, err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -190,13 +157,16 @@ func (in *instance) enqueueBatch(evs []Event) (accepted int, err error) {
 				err = ErrQueueFull
 				break
 			}
+			// DropOldest: evict the head slot and admit into it. The
+			// dropped event still counts as consumed for the barrier:
+			// Applied tracks "left the queue", whether applied or evicted.
 			in.head = (in.head + 1) % len(in.queue)
 			in.count--
 			in.stats.DroppedOldest++
 			in.stats.Applied++
 		}
 		slot := &in.queue[(in.head+in.count)%len(in.queue)]
-		links := slot.Links
+		links := slot.Links // the slot's own buffer, not the decoder's scratch
 		*slot = evs[i]
 		slot.Links = append(links[:0], evs[i].Links...)
 		in.count++

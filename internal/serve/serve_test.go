@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fourbit/internal/packet"
 )
 
 // testServer wires a Server behind httptest with test-friendly options.
@@ -74,36 +76,61 @@ func beaconLine(at int64, src, seq, lqi int) string {
 		at, src, seq, lqi)
 }
 
+// footerLine builds a beacon with a full footer whose entry bad carries
+// addr in place of a valid address.
+func footerLine(bad int, addr int64) string {
+	links := make([]string, packet.MaxLinkEntries)
+	for i := range links {
+		a := int64(i)
+		if i == bad {
+			a = addr
+		}
+		links[i] = fmt.Sprintf(`{"addr":%d,"q":%d}`, a, 10*i)
+	}
+	return `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":4,"links":[` + strings.Join(links, ",") + `]}`
+}
+
 // --- Decoder ----------------------------------------------------------
 
 func TestDecodeEventTyped(t *testing.T) {
+	last := packet.MaxLinkEntries - 1
 	cases := []struct {
 		name string
 		line string
-		want error // nil = accepted
+		want error  // nil = accepted
+		msg  string // exact error text, where pinned
 	}{
-		{"beacon ok", beaconLine(1, 2, 3, 99), nil},
-		{"tx ok", `{"ev":"tx","at":5,"dest":3,"acked":true}`, nil},
-		{"rx ok", `{"ev":"rx","at":5,"src":3,"lqi":80}`, nil},
-		{"age ok", `{"ev":"age","at":5,"silence":1000}`, nil},
-		{"not json", `{"ev":`, ErrEventSyntax},
-		{"wrong field type", `{"ev":"tx","at":"soon","dest":3,"acked":true}`, ErrEventSyntax},
-		{"array not object", `[1,2,3]`, ErrEventSyntax},
-		{"no kind", `{"at":5}`, ErrEventKind},
-		{"unknown kind", `{"ev":"bogus","at":5}`, ErrEventKind},
-		{"poison rejected by default", `{"ev":"poison","at":5}`, ErrEventKind},
-		{"missing at", `{"ev":"tx","dest":3,"acked":true}`, ErrEventField},
-		{"negative at", `{"ev":"tx","at":-5,"dest":3,"acked":true}`, ErrEventField},
-		{"beacon missing src", `{"ev":"beacon","at":1,"seq":2,"lqi":3}`, ErrEventField},
-		{"beacon src broadcast", `{"ev":"beacon","at":1,"src":65535,"seq":2,"lqi":3}`, ErrEventField},
-		{"beacon seq range", `{"ev":"beacon","at":1,"src":2,"seq":70000,"lqi":3}`, ErrEventField},
-		{"beacon lqi range", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":300}`, ErrEventField},
-		{"beacon link q range", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":4,"links":[{"addr":1,"q":999}]}`, ErrEventField},
-		{"beacon link addr missing", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":4,"links":[{"q":9}]}`, ErrEventField},
-		{"tx missing acked", `{"ev":"tx","at":5,"dest":3}`, ErrEventField},
-		{"tx missing dest", `{"ev":"tx","at":5,"acked":true}`, ErrEventField},
-		{"rx lqi range", `{"ev":"rx","at":5,"src":3,"lqi":-1}`, ErrEventField},
-		{"age zero silence", `{"ev":"age","at":5,"silence":0}`, ErrEventField},
+		{"beacon ok", beaconLine(1, 2, 3, 99), nil, ""},
+		{"tx ok", `{"ev":"tx","at":5,"dest":3,"acked":true}`, nil, ""},
+		{"rx ok", `{"ev":"rx","at":5,"src":3,"lqi":80}`, nil, ""},
+		{"age ok", `{"ev":"age","at":5,"silence":1000}`, nil, ""},
+		{"not json", `{"ev":`, ErrEventSyntax, ""},
+		{"wrong field type", `{"ev":"tx","at":"soon","dest":3,"acked":true}`, ErrEventSyntax, ""},
+		{"array not object", `[1,2,3]`, ErrEventSyntax, ""},
+		{"no kind", `{"at":5}`, ErrEventKind, ""},
+		{"unknown kind", `{"ev":"bogus","at":5}`, ErrEventKind, ""},
+		{"poison rejected by default", `{"ev":"poison","at":5}`, ErrEventKind, ""},
+		{"missing at", `{"ev":"tx","dest":3,"acked":true}`, ErrEventField, ""},
+		{"negative at", `{"ev":"tx","at":-5,"dest":3,"acked":true}`, ErrEventField, ""},
+		{"beacon missing src", `{"ev":"beacon","at":1,"seq":2,"lqi":3}`, ErrEventField, ""},
+		{"beacon src broadcast", `{"ev":"beacon","at":1,"src":65535,"seq":2,"lqi":3}`, ErrEventField, ""},
+		{"beacon seq range", `{"ev":"beacon","at":1,"src":2,"seq":70000,"lqi":3}`, ErrEventField, ""},
+		{"beacon lqi range", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":300}`, ErrEventField, ""},
+		{"beacon link q range", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":4,"links":[{"addr":1,"q":999}]}`, ErrEventField, ""},
+		{"beacon link addr missing", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":4,"links":[{"q":9}]}`, ErrEventField, ""},
+		{"beacon full footer ok", footerLine(-1, 0), nil, ""},
+		{"beacon link 0 addr negative", footerLine(0, -7), ErrEventField,
+			"serve: invalid event field: beacon.links[0].addr missing"},
+		{"beacon link 0 addr none", footerLine(0, int64(packet.None)), ErrEventField,
+			"serve: invalid event field: beacon.links[0].addr = 65534, not a unicast address"},
+		{"beacon link 14 addr negative", footerLine(last, -1), ErrEventField,
+			"serve: invalid event field: beacon.links[14].addr missing"},
+		{"beacon link 14 addr above none", footerLine(last, 70000), ErrEventField,
+			"serve: invalid event field: beacon.links[14].addr = 70000, not a unicast address"},
+		{"tx missing acked", `{"ev":"tx","at":5,"dest":3}`, ErrEventField, ""},
+		{"tx missing dest", `{"ev":"tx","at":5,"acked":true}`, ErrEventField, ""},
+		{"rx lqi range", `{"ev":"rx","at":5,"src":3,"lqi":-1}`, ErrEventField, ""},
+		{"age zero silence", `{"ev":"age","at":5,"silence":0}`, ErrEventField, ""},
 	}
 	var dec EventDecoder
 	var ev Event
@@ -118,6 +145,9 @@ func TestDecodeEventTyped(t *testing.T) {
 			}
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("Decode(%s) = %v, want %v", tc.line, err, tc.want)
+			}
+			if tc.msg != "" && err.Error() != tc.msg {
+				t.Fatalf("Decode(%s) error text\n got %q\nwant %q", tc.line, err, tc.msg)
 			}
 		})
 	}
@@ -256,6 +286,39 @@ func TestBackpressure429(t *testing.T) {
 	mustStatus(t, do(t, "POST", ts.URL+"/v1/instances/n1/resume", "", nil), http.StatusOK)
 	resp = do(t, "POST", ts.URL+"/v1/instances/n1/events", beaconLine(99, 3, 99, 80), &rep)
 	mustStatus(t, resp, http.StatusOK)
+
+	// Malformed and blank lines interleaved with valid ones, the queue
+	// filling mid-request: the 4th valid line fills it, the 5th (line 8;
+	// blank lines are not numbered) is refused, and nothing after it counts.
+	createInstance(t, ts.URL, "n2", "4bit")
+	mustStatus(t, do(t, "POST", ts.URL+"/v1/instances/n2/pause", "", nil), http.StatusOK)
+	body := strings.Join([]string{
+		beaconLine(1, 3, 1, 80),
+		"not json",
+		beaconLine(2, 3, 2, 80),
+		"",
+		beaconLine(3, 3, 3, 80),
+		`{"ev":"warp","at":4}`,
+		"  ",
+		beaconLine(5, 3, 5, 80),
+		`{"ev":"tx","at":6}`,
+		beaconLine(7, 3, 7, 80),
+		"still not json",
+		beaconLine(8, 3, 8, 80),
+	}, "\n")
+	rep = ingestReport{}
+	resp = do(t, "POST", ts.URL+"/v1/instances/n2/events", body, &rep)
+	mustStatus(t, resp, http.StatusTooManyRequests)
+	want := ingestReport{Accepted: 4, Malformed: 3, Lines: 8,
+		LastError: `line 2: serve: malformed event line: invalid character 'o' in literal null (expecting 'u')`}
+	if rep != want {
+		t.Fatalf("report = %+v\nwant %+v", rep, want)
+	}
+	st.Robust = RobustStats{}
+	do(t, "GET", ts.URL+"/v1/instances/n2/stats", "", &st)
+	if want := (RobustStats{Enqueued: 4, Malformed: 3, Backpressured: 1}); st.Robust != want {
+		t.Fatalf("robust = %+v\nwant %+v", st.Robust, want)
+	}
 }
 
 func TestDropOldestPolicy(t *testing.T) {
@@ -289,6 +352,75 @@ func TestDropOldestPolicy(t *testing.T) {
 	do(t, "GET", ts.URL+"/v1/instances/n1/table", "", &table)
 	if len(table.Neighbors) != 1 {
 		t.Fatalf("table = %+v", table.Neighbors)
+	}
+}
+
+// TestJSONLStreamAdmitsLineByLine holds one JSONL request open and feeds
+// it line by line into a running drop-oldest instance whose ring is
+// shorter than the request. Each line must reach the worker before the
+// next is written — visible while the request is still open — so the
+// worker keeps up and nothing is evicted.
+func TestJSONLStreamAdmitsLineByLine(t *testing.T) {
+	_, ts := testServer(t, Options{QueueDepth: 4, Policy: DropOldest})
+	createInstance(t, ts.URL, "n1", "4bit")
+
+	pr, pw := io.Pipe()
+	defer pw.Close() // a failed check must not leave the handler reading
+	type result struct {
+		rep    ingestReport
+		status int
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/instances/n1/events", "application/x-ndjson", pr)
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		res := result{status: resp.StatusCode}
+		res.err = json.NewDecoder(resp.Body).Decode(&res.rep)
+		done <- res
+	}()
+
+	var st struct {
+		Robust RobustStats `json:"robust"`
+	}
+	const n = 10
+	for i := 1; i <= n; i++ {
+		if _, err := io.WriteString(pw, beaconLine(int64(i), 3, i, 80)+"\n"); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			do(t, "GET", ts.URL+"/v1/instances/n1/stats", "", &st)
+			if st.Robust.Applied == uint64(i) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("line %d not applied while the request is open: robust = %+v", i, st.Robust)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	io.WriteString(pw, "not json\n")
+	pw.Close()
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.status != http.StatusOK {
+		t.Fatalf("status = %d, want 200", res.status)
+	}
+	want := ingestReport{Accepted: n, Malformed: 1, Lines: n + 1,
+		LastError: fmt.Sprintf("line %d: serve: malformed event line: invalid character 'o' in literal null (expecting 'u')", n+1)}
+	if res.rep != want {
+		t.Fatalf("report = %+v\nwant %+v", res.rep, want)
+	}
+	do(t, "GET", ts.URL+"/v1/instances/n1/stats", "", &st)
+	if want := (RobustStats{Enqueued: n, Applied: n, Malformed: 1}); st.Robust != want {
+		t.Fatalf("robust = %+v\nwant %+v", st.Robust, want)
 	}
 }
 

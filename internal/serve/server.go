@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -105,6 +106,9 @@ type Server struct {
 	// frame buffer, and decoder scratch) across ingest requests, so a busy
 	// binary ingest path allocates nothing per request in steady state.
 	frameReaders sync.Pool
+	// jsonlScratch pools the JSONL path's line buffer and decoder scratch
+	// the same way.
+	jsonlScratch sync.Pool
 }
 
 // NewServer returns a server with the given options applied over defaults.
@@ -117,6 +121,13 @@ func NewServer(opts Options) *Server {
 	}
 	s.frameReaders.New = func() any {
 		return wire.NewFrameReader(nil, s.opts.MaxBatchBytes, s.opts.AllowPoison)
+	}
+	s.jsonlScratch.New = func() any {
+		// Scanner's limit is max(cap(buf), max): the initial capacity must
+		// not exceed MaxLineBytes or small line budgets would be ignored.
+		js := &jsonlScratch{line: make([]byte, min(64*1024, s.opts.MaxLineBytes))}
+		js.dec.AllowPoison = s.opts.AllowPoison
+		return js
 	}
 	if s.opts.IdleEvict > 0 {
 		go s.janitor()
@@ -530,17 +541,29 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, in *instan
 		s.handleEventsBinary(w, r, in)
 		return
 	}
-	dec := EventDecoder{AllowPoison: s.opts.AllowPoison}
-	var ev Event
+	s.handleEventsJSONL(w, r, in)
+}
+
+// jsonlScratch is one JSONL ingest request's reusable state, pooled across
+// requests like the binary path's FrameReaders: the scanner's initial line
+// buffer, the decoder's scratch, and the one-event batch each decoded line
+// is admitted as.
+type jsonlScratch struct {
+	line []byte
+	dec  EventDecoder
+	ev   [1]Event
+}
+
+// handleEventsJSONL is the line-oriented ingest path. Each decoded line is
+// admitted as it arrives, through enqueueBatch on a one-event batch — the
+// binary path's admission routine — so the worker drains the ring between
+// lines and a long-lived request's events are visible as they come.
+func (s *Server) handleEventsJSONL(w http.ResponseWriter, r *http.Request, in *instance) {
+	js := s.jsonlScratch.Get().(*jsonlScratch)
+	defer s.jsonlScratch.Put(js)
 	var rep ingestReport
 	sc := bufio.NewScanner(r.Body)
-	// Scanner's limit is max(cap(buf), max): the initial capacity must not
-	// exceed MaxLineBytes or small line budgets would be silently ignored.
-	initCap := 64 * 1024
-	if s.opts.MaxLineBytes < initCap {
-		initCap = s.opts.MaxLineBytes
-	}
-	sc.Buffer(make([]byte, 0, initCap), s.opts.MaxLineBytes)
+	sc.Buffer(js.line[:0], s.opts.MaxLineBytes)
 	abort := r.Context().Done()
 	for sc.Scan() {
 		if aborted(abort) {
@@ -548,11 +571,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, in *instan
 			return
 		}
 		line := sc.Bytes()
-		if len(strings.TrimSpace(string(line))) == 0 {
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		rep.Lines++
-		if err := dec.Decode(line, &ev); err != nil {
+		if err := js.dec.Decode(line, &js.ev[0]); err != nil {
 			rep.Malformed++
 			in.mu.Lock()
 			in.stats.Malformed++
@@ -562,7 +585,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, in *instan
 			}
 			continue
 		}
-		if err := in.enqueue(&ev); err != nil {
+		if _, err := in.enqueueBatch(js.ev[:]); err != nil {
 			s.writeEnqueueErr(w, &rep, err)
 			return
 		}

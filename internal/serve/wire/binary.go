@@ -121,59 +121,72 @@ func evString(kind byte) string {
 // EncodedLen returns ev's record size in bytes.
 func EncodedLen(ev *Event) int { return recordBaseLen + len(ev.Links)*linkEntryLen }
 
-// AppendEvent appends ev's record to dst. Events that the JSONL decoder
-// would refuse are refused here too (ErrRecord), so no encoder can mint a
-// stream the strict decoders reject.
-func AppendEvent(dst []byte, ev *Event) ([]byte, error) {
+// CheckEvent reports whether ev is encodable: the validation AppendEvent
+// applies before writing a record, refusing (ErrRecord) every event the
+// JSONL decoder would refuse. A JSONL producer calls it directly so both
+// formats refuse alike without encoding a record.
+func CheckEvent(ev *Event) error {
+	_, err := checkEvent(ev)
+	return err
+}
+
+// checkEvent is CheckEvent returning the record kind byte on success.
+func checkEvent(ev *Event) (byte, error) {
 	kind, err := kindByte(ev.Ev)
 	if err != nil {
-		return dst, err
+		return 0, err
 	}
 	if ev.At < 0 {
-		return dst, fmt.Errorf("%w: %s.at negative", ErrRecord, ev.Ev)
+		return 0, fmt.Errorf("%w: %s.at negative", ErrRecord, ev.Ev)
+	}
+	if kind == kindBeacon && len(ev.Links) > packet.MaxLinkEntries {
+		return 0, fmt.Errorf("%w: beacon has %d footer entries, max %d", ErrRecord, len(ev.Links), packet.MaxLinkEntries)
+	}
+	switch kind {
+	case kindBeacon, kindTx, kindRx:
+		if ev.Src >= packet.None {
+			return 0, fmt.Errorf("%w: %s address %d is not unicast", ErrRecord, ev.Ev, ev.Src)
+		}
+	case kindAge:
+		if ev.Silence <= 0 {
+			return 0, fmt.Errorf("%w: age.silence missing or non-positive", ErrRecord)
+		}
+	}
+	if (kind == kindBeacon || kind == kindRx) && (math.IsNaN(ev.SNR) || math.IsInf(ev.SNR, 0)) {
+		return 0, fmt.Errorf("%w: %s.snr is not finite", ErrRecord, ev.Ev)
+	}
+	return kind, nil
+}
+
+// AppendEvent appends ev's record to dst. Events that the JSONL decoder
+// would refuse are refused here too (CheckEvent), so no encoder can mint a
+// stream the strict decoders reject.
+func AppendEvent(dst []byte, ev *Event) ([]byte, error) {
+	kind, err := checkEvent(ev)
+	if err != nil {
+		return dst, err
 	}
 	var flags, nlinks, lqi byte
 	var src, seq uint16
 	var aux uint64
 	switch kind {
 	case kindBeacon:
-		if len(ev.Links) > packet.MaxLinkEntries {
-			return dst, fmt.Errorf("%w: beacon has %d footer entries, max %d", ErrRecord, len(ev.Links), packet.MaxLinkEntries)
-		}
-		if err := checkAddr(ev.Ev, ev.Src); err != nil {
-			return dst, err
-		}
-		if err := checkSNR(ev.Ev, ev.SNR); err != nil {
-			return dst, err
-		}
 		if ev.White {
 			flags = flagWhite
 		}
 		nlinks, lqi = byte(len(ev.Links)), ev.LQI
 		src, seq, aux = uint16(ev.Src), ev.Seq, math.Float64bits(ev.SNR)
 	case kindTx:
-		if err := checkAddr(ev.Ev, ev.Src); err != nil {
-			return dst, err
-		}
 		if ev.Acked {
 			flags = flagAcked
 		}
 		src = uint16(ev.Src)
 	case kindRx:
-		if err := checkAddr(ev.Ev, ev.Src); err != nil {
-			return dst, err
-		}
-		if err := checkSNR(ev.Ev, ev.SNR); err != nil {
-			return dst, err
-		}
 		if ev.White {
 			flags = flagWhite
 		}
 		lqi, src, aux = ev.LQI, uint16(ev.Src), math.Float64bits(ev.SNR)
 	case kindAge:
-		if ev.Silence <= 0 {
-			return dst, fmt.Errorf("%w: age.silence missing or non-positive", ErrRecord)
-		}
 		aux = uint64(ev.Silence)
 	}
 	n := len(dst)
@@ -190,20 +203,6 @@ func AppendEvent(dst []byte, ev *Event) ([]byte, error) {
 		rec[o+2] = l.InQuality
 	}
 	return dst, nil
-}
-
-func checkAddr(ev string, a packet.Addr) error {
-	if a >= packet.None {
-		return fmt.Errorf("%w: %s address %d is not unicast", ErrRecord, ev, a)
-	}
-	return nil
-}
-
-func checkSNR(ev string, snr float64) error {
-	if math.IsNaN(snr) || math.IsInf(snr, 0) {
-		return fmt.Errorf("%w: %s.snr is not finite", ErrRecord, ev)
-	}
-	return nil
 }
 
 // AppendBatch appends one complete frame — length prefix, version, count,

@@ -137,14 +137,23 @@ func fieldErr(ev, field string, format string, args ...any) error {
 	return fmt.Errorf("%w: %s.%s %s", ErrEventField, ev, field, fmt.Sprintf(format, args...))
 }
 
-// addrField validates a wire address: unicast node addresses only — the
-// broadcast and none sentinels never source or sink estimator feedback.
-func addrField(ev, field string, v int64) (packet.Addr, error) {
+// unicast reports whether a wire address names a node: the broadcast and
+// none sentinels never source or sink estimator feedback, and negative
+// values are the decoder's "missing" sentinel.
+func unicast(v int64) bool { return v >= 0 && v < int64(packet.None) }
+
+// addrErr names why v is not a unicast address.
+func addrErr(ev, field string, v int64) error {
 	if v < 0 {
-		return 0, fieldErr(ev, field, "missing")
+		return fieldErr(ev, field, "missing")
 	}
-	if v >= int64(packet.None) {
-		return 0, fieldErr(ev, field, "= %d, not a unicast address", v)
+	return fieldErr(ev, field, "= %d, not a unicast address", v)
+}
+
+// addrField validates a wire address: unicast node addresses only.
+func addrField(ev, field string, v int64) (packet.Addr, error) {
+	if !unicast(v) {
+		return 0, addrErr(ev, field, v)
 	}
 	return packet.Addr(v), nil
 }
@@ -198,14 +207,15 @@ func (d *EventDecoder) Decode(line []byte, ev *Event) error {
 		d.links = d.links[:0]
 		for i := range w.Links {
 			l := &w.Links[i]
-			addr, err := addrField(w.Ev, fmt.Sprintf("links[%d].addr", i), l.Addr)
-			if err != nil {
-				return err
+			if !unicast(l.Addr) {
+				// The field name is built only for the refused entry,
+				// so a valid footer formats nothing.
+				return addrErr(w.Ev, fmt.Sprintf("links[%d].addr", i), l.Addr)
 			}
 			if l.Q < 0 || l.Q > 255 {
 				return fieldErr(w.Ev, "links", "[%d].q = %d, want 0..255", i, l.Q)
 			}
-			d.links = append(d.links, packet.LinkEntry{Addr: addr, InQuality: uint8(l.Q)})
+			d.links = append(d.links, packet.LinkEntry{Addr: packet.Addr(l.Addr), InQuality: uint8(l.Q)})
 		}
 		ev.Src, ev.Seq, ev.LQI = src, uint16(w.Seq), uint8(w.LQI)
 		ev.White, ev.SNR, ev.Links = w.White, w.SNR, d.links

@@ -250,6 +250,40 @@ func TestWireDecodeBatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDecodeEventZeroAlloc pins the JSONL decoder's success path at zero
+// allocations with warm scratch, on the lines where a per-field cost would
+// show: a beacon with a full footer and an snr, a tx, an rx with an snr,
+// and an age. Every footer entry is validated, so any per-entry formatting
+// multiplies by packet.MaxLinkEntries here.
+func TestDecodeEventZeroAlloc(t *testing.T) {
+	links := make([]packet.LinkEntry, packet.MaxLinkEntries)
+	for i := range links {
+		links[i] = packet.LinkEntry{Addr: packet.Addr(i + 1), InQuality: uint8(17 * i)}
+	}
+	evs := []Event{
+		{Ev: EvBeacon, At: 10, Src: 2, Seq: 9, LQI: 99, White: true, SNR: 7.5, Links: links},
+		{Ev: EvTx, At: 20, Src: 3, Acked: true},
+		{Ev: EvRx, At: 30, Src: 4, LQI: 80, SNR: -2.25},
+		{Ev: EvAge, At: 40, Silence: 1_000_000},
+	}
+	var dec EventDecoder
+	var ev Event
+	for i := range evs {
+		line := AppendJSONLEvent(nil, &evs[i])
+		if err := dec.Decode(line, &ev); err != nil { // warm the scratch
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := dec.Decode(line, &ev); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Decode(%s) allocates %v times per line, want 0", line, allocs)
+		}
+	}
+}
+
 func TestAppendJSONLEventMatchesDecoders(t *testing.T) {
 	// Every encodable event must round-trip through its JSONL line, via
 	// both decode paths, and the line must be on the fast path's grammar.
