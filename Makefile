@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet tier1 bench bench-smoke bench-guard bench-shards docs lint golden golden-check race-probe city-scale-smoke shard-race serve-race serve-wire-race fuzz-smoke serve-soak bench-module-test clean
+.PHONY: all build test vet tier1 bench bench-smoke bench-guard docs lint golden golden-check race-probe city-scale-smoke serve-race serve-wire-race fuzz-smoke serve-soak bench-module-test clean
 
 all: build
 
@@ -51,12 +51,11 @@ golden:
 # CI guard that a PR did not drift the model without regenerating — or
 # regenerate without saying so; either way the diff makes it visible). It
 # also asserts every golden config still compiles to the dense channel
-# representation AND the serial event loop: the goldens certify the dense,
-# serial reference trajectories, so a threshold change that silently
-# flipped them to the sparse path or the sharded loop would hollow out
-# what they certify.
+# representation: the goldens certify the dense reference trajectories, so
+# a threshold change that silently flipped them to the sparse path would
+# hollow out what they certify.
 golden-check:
-	$(GO) test ./internal/experiment -run 'TestGoldenRunFingerprints|TestGoldenConfigsSelectDensePath|TestGoldenConfigsSelectSerialPath' -count=1
+	$(GO) test ./internal/experiment -run 'TestGoldenRunFingerprints|TestGoldenConfigsSelectDensePath' -count=1
 	$(GO) test ./internal/scenario -run TestGoldenTimelineFigure -count=1
 
 # city-scale-smoke boots the 2000-node city corridor preset over the
@@ -67,18 +66,6 @@ golden-check:
 city-scale-smoke:
 	$(GO) test -race -count=1 -run 'TestCityPresetsSelectSparse|TestCityScaleSmoke' ./internal/scenario
 	$(GO) test -count=1 -run TestGoldenConfigsSelectDensePath ./internal/experiment
-
-# shard-race runs the region-sharded dispatch surface under the race
-# detector: the coordinator/worker barrier protocol, the cross-shard frame
-# handoff (trace-exact merge, silent timers), and a full sharded
-# protocol run with barrier-control dynamics. The shard-count differential
-# matrices skip under -race (they are minutes-long city runs; their
-# determinism claim is certified without the detector) — this target is
-# the race coverage sized FOR the detector.
-shard-race:
-	$(GO) test -race -count=1 ./internal/sim
-	$(GO) test -race -count=1 -run 'TestShard' ./internal/phy
-	$(GO) test -race -count=1 -run 'TestShardDispatchRace|TestMultiSinkSmoke' ./internal/experiment ./internal/scenario
 
 # race-probe runs the probe-bus test surface under the race detector: the
 # bus itself is single-threaded per run, but many probed runs execute
@@ -135,12 +122,6 @@ bench:
 # bench-smoke: just the one-iteration bench pass, no snapshot.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
-
-# bench-shards runs the shard-axis CityScale benches and snapshots them
-# into BENCH_SHARDS_<date>_p<GOMAXPROCS>.json with a speedup table —
-# ROADMAP item 1's multi-core measurement as one command on a real box.
-bench-shards:
-	./scripts/bench_shards.sh
 
 # bench-guard enforces the committed allocation budgets
 # (scripts/alloc_budget.txt): CI fails when a budgeted benchmark's

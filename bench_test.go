@@ -336,93 +336,6 @@ func BenchmarkCityScale(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(simSeconds*float64(b.N)), "ns/simsec")
 		})
 	}
-
-	// The shard axis drives the same scripted load through the
-	// region-sharded dispatch path (node.NewEnv with Shards=k): per-shard
-	// event wheels, epoch barriers, cross-shard frame handoff. Results are
-	// shard-count-invariant (TestShardCountInvariance*), so the only thing
-	// the axis can vary is cost. What the ratio across counts means depends
-	// on the runner: on a single-core machine (GOMAXPROCS=1) no count can
-	// buy parallelism, so shards=8 over shards=1 is a direct measurement of
-	// the barrier-and-handoff overhead — the number that must stay small
-	// for the parallel win to survive on real cores. The sharded numbers
-	// are not comparable to the serial n= sub-benches above run-for-run
-	// (the handoff model delays every receiver-side effect by one epoch, a
-	// different trajectory); ns/simsec comparisons across the axis are the
-	// honest unit. Channel geometry is precomputed once per n and shared
-	// across counts, exactly as the differential tests and batch runner
-	// share it. The budgeted counts pin allocs/op in
-	// scripts/alloc_budget.txt.
-	shardTopos := map[int]*topo.Topology{}
-	shardPres := map[int]*phy.ChannelPre{}
-	for _, n := range []int{2000, 10000} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			n, shards := n, shards
-			b.Run(fmt.Sprintf("n=%d-shards=%d", n, shards), func(b *testing.B) {
-				skipInShort(b)
-				const (
-					areaPerNodeM2 = 144
-					widthM        = 190
-					simSeconds    = 5
-					periodMS      = 250
-				)
-				cfg := node.DefaultEnvConfig(0, 0)
-				cfg.Phy.PathLossExponent = 4.0
-				cfg.Phy.SparseAboveN = 1
-				cfg.Shards = shards
-				if shardPres[n] == nil {
-					tp := topo.Corridor(n, float64(n)*areaPerNodeM2/widthM, widthM, 9)
-					shardTopos[n], shardPres[n] = tp, phy.PrecomputeGeo(tp, cfg.Phy)
-				}
-				tp, pre := shardTopos[n], shardPres[n]
-				if !pre.Sparse() {
-					b.Fatal("sharded city bench fell back to the dense representation")
-				}
-				cfg.ChanPre = pre
-
-				var delivered int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					cfg.Seed = uint64(i)
-					env := node.NewEnv(tp, cfg)
-					// Receive counters are per shard: callbacks run on the
-					// receiver's shard goroutine.
-					got := make([]int64, shards)
-					for id := 0; id < n; id++ {
-						s := env.ShardOf[id]
-						env.Medium.Radio(id).OnReceive(func([]byte, phy.RxInfo) { got[s]++ })
-					}
-					for id := 0; id < n; id++ {
-						radio := env.Medium.Radio(id)
-						clock := env.ClockFor(id)
-						frame := make([]byte, 30)
-						phase := sim.Time(id%97) * 2 * sim.Millisecond
-						for k := 0; k < simSeconds*1000/periodMS; k++ {
-							clock.Schedule(sim.Time(k)*periodMS*sim.Millisecond+phase, func() {
-								if !radio.Transmitting() {
-									radio.Transmit(frame)
-								}
-							})
-						}
-					}
-					runtime.GC() // construction garbage must not bill the timed region
-					b.StartTimer()
-					env.Group.RunUntil(simSeconds * sim.Second)
-					b.StopTimer()
-					env.Close()
-					for _, d := range got {
-						delivered += d
-					}
-				}
-				if delivered == 0 {
-					b.Fatal("sharded city bench delivered nothing; handoff degenerate")
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(simSeconds*float64(b.N)), "ns/simsec")
-			})
-		}
-	}
 }
 
 // BenchmarkCityCollection2k is the end-to-end companion: the full 4B

@@ -70,14 +70,6 @@ func TestCLIErrorContract(t *testing.T) {
 			wantErr: []string{`unknown preset "nope"`},
 		},
 		{
-			name: "scenario zero shards", args: []string{"scenario", "-shards", "0"}, wantCode: 2,
-			wantErr: []string{"-shards must be at least 1"},
-		},
-		{
-			name: "scenario malformed shards", args: []string{"scenario", "-shards", "x"}, wantCode: 2,
-			wantErr: []string{`invalid value "x"`, "Usage of scenario"},
-		},
-		{
 			name: "scenario missing spec file", args: []string{"scenario", "-spec", "/nonexistent/x.json"}, wantCode: 2,
 			wantErr: []string{"/nonexistent/x.json"},
 		},

@@ -22,9 +22,9 @@
 //	fourbitsim timeline  [-seed N] [-minutes M] [-workers W] [-csv FILE] [-jsonl FILE]
 //	fourbitsim replicate [-seed N] [-minutes M] [-workers W] [-proto P] [-power dBm] [-seeds K] [-estimator E]
 //	fourbitsim scenario  [-preset NAME | -spec FILE | -list] [-seed N] [-workers W] [-estimator E]
-//	                     [-shards S] [-timeline-csv FILE] [-timeline-jsonl FILE] [-estfeed-dir DIR]
+//	                     [-timeline-csv FILE] [-timeline-jsonl FILE] [-estfeed-dir DIR]
 //	fourbitsim sweep     [-spec FILE] [-seed N] [-minutes M] [-replicates K]
-//	                     [-csv FILE] [-jsonl FILE] [-workers W] [-shards S]
+//	                     [-csv FILE] [-jsonl FILE] [-workers W]
 //	fourbitsim serve     [-addr HOST:PORT] [-queue-depth N] [-overflow P]
 //	                     [-request-timeout D] [-idle-evict D] [-snapshot-dir DIR]
 //	fourbitsim feedconv  -in FILE|DIR [-out DIR] [-to binary|jsonl] [-batch N]
@@ -159,13 +159,6 @@ func (c *commonFlags) minutes() *float64 {
 	return c.fs.Float64("minutes", 25, "simulated duration per run (minutes)")
 }
 
-// shards registers the region-sharding override (for subcommands that
-// compile scenario specs). Only explicit counts are accepted here; the
-// auto/serial selection lives in the spec's Shards field.
-func (c *commonFlags) shards() *int {
-	return c.fs.Int("shards", 0, "force this many region shards per run (default: auto — serial below city scale)")
-}
-
 // parse parses args, validates the shared flags, and starts any requested
 // profiles. It returns the finish function the caller must defer: profiles
 // are finalized when the subcommand returns normally (error exits abandon
@@ -177,11 +170,6 @@ func (c *commonFlags) parse(args []string) (finish func()) {
 	if f := c.fs.Lookup("minutes"); f != nil {
 		if m, ok := f.Value.(flag.Getter).Get().(float64); ok && m <= 0 {
 			fatal(fmt.Errorf("-minutes must be positive, got %g", m))
-		}
-	}
-	if f := c.fs.Lookup("shards"); f != nil && c.set("shards") {
-		if s, ok := f.Value.(flag.Getter).Get().(int); ok && s < 1 {
-			fatal(fmt.Errorf("-shards must be at least 1, got %d", s))
 		}
 	}
 	finish = func() {}
@@ -295,7 +283,6 @@ func runReplicate(args []string) {
 func runScenario(args []string) {
 	c := newCommonFlags("scenario")
 	minutes := c.minutes()
-	shards := c.shards()
 	specFile := c.fs.String("spec", "", "JSON spec file (see docs/SCENARIOS.md)")
 	preset := c.fs.String("preset", "", "built-in preset name (see -list)")
 	list := c.fs.Bool("list", false, "list built-in presets and exit")
@@ -344,9 +331,6 @@ func runScenario(args []string) {
 	if c.set("estimator") {
 		spec.Estimator = *estimator
 	}
-	if c.set("shards") {
-		spec.Shards = *shards
-	}
 	var rep *experiment.Replicated
 	var err error
 	if *estFeed != "" {
@@ -378,7 +362,6 @@ func runScenario(args []string) {
 func runSweep(args []string) {
 	c := newCommonFlags("sweep")
 	minutes := c.minutes()
-	shards := c.shards()
 	specFile := c.fs.String("spec", "", "JSON Sweep spec file (see docs/SCENARIOS.md)")
 	replicates := c.fs.Int("replicates", 3, "seeds per grid cell (overridden by the spec's Replicates)")
 	csvOut := c.fs.String("csv", "", "write the result table as CSV to this file ('-' = stdout)")
@@ -405,9 +388,6 @@ func runSweep(args []string) {
 		}
 	} else {
 		sw = scenario.DefaultSweep(*c.seed, *minutes, *replicates)
-	}
-	if c.set("shards") {
-		sw.Base.Shards = *shards
 	}
 	res, err := sw.Run(*c.workers)
 	if err != nil {
@@ -488,12 +468,10 @@ timeline flags:  -csv FILE / -jsonl FILE (per-window timeline export)
 replicate flags: -proto P (protocol name), -power dBm, -seeds K,
                  -estimator E (4bit, wmewma, pdr, lqi; CTP family only)
 scenario flags:  -preset NAME, -spec FILE (JSON Spec), -list, -estimator E,
-                 -shards S (force S region shards per run; default auto —
-                 city-scale runs shard, smaller ones stay serial),
                  -timeline-csv FILE / -timeline-jsonl FILE,
                  -estfeed-dir DIR (record per-node estimator feeds for serve)
 sweep flags:     -spec FILE (JSON Sweep), -replicates K (seeds per cell),
-                 -csv FILE, -jsonl FILE ('-' = stdout), -shards S
+                 -csv FILE, -jsonl FILE ('-' = stdout)
 serve flags:     -addr HOST:PORT, -queue-depth N, -overflow backpressure|drop-oldest,
                  -request-timeout D, -idle-evict D, -max-instances N,
                  -snapshot-dir DIR (restore at boot, write back on SIGTERM),

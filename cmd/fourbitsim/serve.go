@@ -121,7 +121,9 @@ func restoreSnapshotDir(srv *serve.Server, dir string) (int, error) {
 	return n, nil
 }
 
-// writeSnapshotDir serializes every instance to dir/<name>.json.
+// writeSnapshotDir serializes every instance to dir/<name>.json, each file
+// replaced atomically (writeFileAtomic): a crash or a failed write leaves
+// the previous snapshot of that instance in place, never a torn one.
 func writeSnapshotDir(srv *serve.Server, ctx context.Context, dir string) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
@@ -135,11 +137,52 @@ func writeSnapshotDir(srv *serve.Server, ctx context.Context, dir string) (int, 
 		if err != nil {
 			return 0, err
 		}
-		if err := os.WriteFile(filepath.Join(dir, snap.Name+".json"), data, 0o644); err != nil {
+		if err := writeFileAtomic(filepath.Join(dir, snap.Name+".json"), data); err != nil {
 			return 0, err
 		}
 	}
 	return len(snaps), nil
+}
+
+// writeFileAtomic replaces path with data so that a reader, or a restart
+// after a crash, sees either the old file or the new one. The bytes go to
+// a temp file in the same directory, named ".<base>.tmp-*" so
+// restoreSnapshotDir's *.json glob never picks it up; it is fsynced,
+// renamed over path, and the directory is fsynced so the rename itself is
+// durable. On any error the temp file is removed and path is untouched.
+func writeFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // runScenarioWithFeed executes a scenario as a single run, wrapping every

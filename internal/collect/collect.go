@@ -8,7 +8,6 @@ package collect
 import (
 	"encoding/binary"
 	"errors"
-	"sort"
 
 	"fourbit/internal/packet"
 	"fourbit/internal/probe"
@@ -143,55 +142,6 @@ func (l *Ledger) NoteGenerated(origin packet.Addr, seq uint32) {
 	if seq > l.generated[origin] {
 		l.generated[origin] = seq
 	}
-}
-
-// Delivery is one sink-side delivery event, recorded by sharded runs into
-// per-shard logs instead of mutating a shared ledger mid-run. MergeLedgers
-// replays the logs afterwards.
-type Delivery struct {
-	At     sim.Time
-	Origin packet.Addr
-	Seq    uint32
-	Sink   int
-	Hops   uint8
-}
-
-// MergeLedgers combines the per-shard accounting of a sharded run into
-// one ledger equal to what a serial run over the same events would have
-// produced. Generation maps union trivially (each origin reports to
-// exactly one shard's ledger); delivery logs are concatenated and
-// replayed in (time, origin, seq, sink) order, so first-delivery hop
-// crediting and duplicate counting cannot depend on the shard count.
-func MergeLedgers(parts []*Ledger, logs [][]Delivery) *Ledger {
-	out := NewLedger()
-	for _, p := range parts {
-		for origin, g := range p.generated {
-			if g > out.generated[origin] {
-				out.generated[origin] = g
-			}
-		}
-	}
-	var all []Delivery
-	for _, log := range logs {
-		all = append(all, log...)
-	}
-	sort.Slice(all, func(a, b int) bool {
-		x, y := all[a], all[b]
-		if x.At != y.At {
-			return x.At < y.At
-		}
-		if x.Origin != y.Origin {
-			return x.Origin < y.Origin
-		}
-		if x.Seq != y.Seq {
-			return x.Seq < y.Seq
-		}
-		return x.Sink < y.Sink
-	})
-	for _, d := range all {
-		out.NoteDelivered(d.Origin, d.Seq, d.Hops)
-	}
-	return out
 }
 
 // NoteDelivered records a delivery at the sink; duplicates are counted

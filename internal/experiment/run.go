@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"fourbit/internal/collect"
@@ -133,59 +132,11 @@ type RunConfig struct {
 	// estimator-feed recording rides here. Applied on top of Env when both
 	// are set; pass-through decorators keep the run bit-identical.
 	WrapEstimator func(addr packet.Addr, est core.LinkEstimator) core.LinkEstimator
-	// Shards selects the region-sharded parallel event loop. 0 (the
-	// default) auto-selects: city-scale populations (>= DefaultShardAboveN
-	// nodes) run sharded with min(8, NumCPU) shards unless the run needs a
-	// serial-only feature (TimelineWindow, WrapEstimator); everything else
-	// — including every golden config — stays on the serial path
-	// byte-for-byte. >= 1 forces that shard count (1 included: the sharded
-	// machinery with a single shard, which is NOT the serial path — sharded
-	// results are invariant to the shard count but differ from serial).
-	// -1 forces serial regardless of size. Like Env.Seed, the value wins
-	// over any Shards set inside an Env override.
-	Shards int
 	// ExtraSinks lists additional collection roots beyond Topo.Root (the
 	// multi-sink workload). Every sink runs a root-mode router and counts
 	// deliveries into one shared ledger; per-origin delivery dedupes across
 	// sinks. Empty keeps the classic single-sink run bit-for-bit.
 	ExtraSinks []int
-}
-
-// DefaultShardAboveN is the population at which Shards == 0 auto-selects
-// the sharded event loop. The threshold is a node count, not a machine
-// property, so *whether* a config shards never depends on the host; only
-// the shard count does, and results are invariant to it.
-const DefaultShardAboveN = 1024
-
-// resolveShards returns the effective shard count for a run: 0 for the
-// serial path, >= 1 for the sharded loop. Forcing shards alongside
-// TimelineWindow is a programming error — the probe collector is a
-// serial-path observer (scenario validation rejects the combination with
-// a friendlier message upstream).
-func resolveShards(rc RunConfig) int {
-	switch {
-	case rc.Shards < 0:
-		return 0
-	case rc.Shards > 0:
-		if rc.TimelineWindow > 0 {
-			panic("experiment: TimelineWindow requires the serial path; unset Shards")
-		}
-		return rc.Shards
-	}
-	if rc.TimelineWindow > 0 || rc.WrapEstimator != nil {
-		return 0
-	}
-	if rc.Topo.N() < DefaultShardAboveN {
-		return 0
-	}
-	n := runtime.NumCPU()
-	if n < 1 {
-		n = 1
-	}
-	if n > 8 {
-		n = 8
-	}
-	return n
 }
 
 // DefaultRunConfig returns the standard 25-minute Mirage-style run.
@@ -284,7 +235,6 @@ func resolveEnv(rc RunConfig) node.EnvConfig {
 	if rc.WrapEstimator != nil {
 		envCfg.WrapEstimator = rc.WrapEstimator
 	}
-	envCfg.Shards = resolveShards(rc)
 	if rc.ExtraSinks != nil {
 		envCfg.ExtraRoots = rc.ExtraSinks
 	}
@@ -306,7 +256,7 @@ func Run(rc RunConfig) *Result {
 	var parents func() []int
 	var dataTx, beaconTx func() uint64
 	var estStats func() core.Stats
-	var finalize func() *collect.Ledger
+	var ledger *collect.Ledger
 
 	if rc.Protocol == ProtoMultiHopLQI {
 		lqiCfg := lqirouter.DefaultConfig()
@@ -314,7 +264,7 @@ func Run(rc RunConfig) *Result {
 			lqiCfg = *rc.LQI
 		}
 		net := node.BuildLQI(env, lqiCfg, rc.Workload)
-		parents, finalize = net.Parents, net.FinalizeLedger
+		parents, ledger = net.Parents, net.Ledger
 		dataTx, beaconTx = net.DataTransmissions, net.BeaconTransmissions
 	} else {
 		ctpCfg := ctp.DefaultConfig()
@@ -326,7 +276,7 @@ func Run(rc RunConfig) *Result {
 			estCfg = *rc.Est
 		}
 		net := node.BuildCTPKind(env, ctpCfg, estCfg, rc.Estimator, rc.Workload)
-		parents, finalize = net.Parents, net.FinalizeLedger
+		parents, ledger = net.Parents, net.Ledger
 		dataTx, beaconTx = net.DataTransmissions, net.BeaconTransmissions
 		estStats = func() core.Stats { return core.SumStats(net.Ests) }
 	}
@@ -357,30 +307,8 @@ func Run(rc RunConfig) *Result {
 			depthSamples++
 		}
 	}
-	if env.Sharded() {
-		// Samplers are coordinator work: they read every shard's router
-		// state, so they may only run at epoch barriers. ScheduleControl
-		// snaps each firing to the next barrier — barrier positions depend
-		// only on the epoch length, never on the shard count, so sampling
-		// instants are shard-count invariant. The control re-arms itself.
-		var arm func(at sim.Time)
-		arm = func(at sim.Time) {
-			if at > rc.Duration {
-				return
-			}
-			env.ScheduleControl(at, func() {
-				sampler()
-				arm(at + rc.SampleEvery)
-			})
-		}
-		arm(rc.Warmup)
-		env.Group.RunUntil(rc.Duration)
-		env.Close()
-	} else {
-		env.Clock.Every(rc.Warmup, rc.SampleEvery, sampler)
-		env.Clock.RunUntil(rc.Duration)
-	}
-	ledger := finalize()
+	env.Clock.Every(rc.Warmup, rc.SampleEvery, sampler)
+	env.Clock.RunUntil(rc.Duration)
 
 	estKind := rc.Estimator
 	if rc.Protocol == ProtoMultiHopLQI {
@@ -401,9 +329,6 @@ func Run(rc RunConfig) *Result {
 		BeaconTx:   beaconTx(),
 		MeanHops:   ledger.MeanHops(),
 		Events:     env.Clock.Events(),
-	}
-	if env.Sharded() {
-		res.Events = env.Group.Events()
 	}
 	res.DeliveryRatio = ledger.TotalDeliveryRatio()
 	for i := 0; i < rc.Topo.N(); i++ {

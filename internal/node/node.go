@@ -44,14 +44,6 @@ type EnvConfig struct {
 	// the inner estimator is fully wired when wrapped.
 	WrapEstimator func(addr packet.Addr, est core.LinkEstimator) core.LinkEstimator
 
-	// Shards, when >= 1, builds the environment for region-sharded
-	// parallel dispatch: that many event wheels, nodes partitioned by
-	// phy.PartitionByRegion, the medium in handoff mode, and a
-	// sim.ShardGroup driving the epochs. 0 keeps the serial path. Results
-	// are bit-identical for any Shards >= 1 (and differ from serial: the
-	// handoff model shifts every receiver-side effect by one epoch).
-	Shards int
-
 	// ExtraRoots lists additional collection sinks beyond the topology
 	// root. Every root runs a root protocol instance and no traffic
 	// source; deliveries at any sink count toward the shared ledger.
@@ -83,49 +75,16 @@ type Env struct {
 	Probes *probe.Bus
 	Cfg    EnvConfig
 
-	// Sharded dispatch state (nil/empty on the serial path). Clocks[s] is
-	// shard s's wheel (Clock aliases Clocks[0]), Buses[s] its probe bus
-	// (buses stamp events with their own clock, so each shard gets one;
-	// Probes aliases Buses[0]), ShardOf maps node to shard, and Group
-	// drives the epoch barriers. Callers use ClockFor/BusFor so the same
-	// build code wires both paths.
-	Clocks  []*sim.Simulator
-	Buses   []*probe.Bus
-	ShardOf []int32
-	Group   *sim.ShardGroup
+	// Clocks and Buses stay nil and Sharded reports false: the simulator
+	// has one serial event loop, so Clock and Probes are the run's only
+	// wheel and bus. They are kept only for the fourbitbench module, which
+	// reads them, until its next benchmark change drops them.
+	Clocks []*sim.Simulator
+	Buses  []*probe.Bus
 }
 
-// Sharded reports whether this environment dispatches through region
-// shards.
-func (env *Env) Sharded() bool { return env.Group != nil }
-
-// ClockFor returns the wheel that owns node i's events.
-func (env *Env) ClockFor(i int) *sim.Simulator {
-	if env.Group != nil {
-		return env.Clocks[env.ShardOf[i]]
-	}
-	return env.Clock
-}
-
-// BusFor returns the probe bus node i's layers emit on.
-func (env *Env) BusFor(i int) *probe.Bus {
-	if env.Group != nil {
-		return env.Buses[env.ShardOf[i]]
-	}
-	return env.Probes
-}
-
-// ScheduleControl schedules run-level machinery (samplers, scripted
-// dynamics) that reads or mutates cross-shard state. Serial: an ordinary
-// clock event. Sharded: a coordinator control that runs at the first
-// epoch barrier at or after at, with every shard idle.
-func (env *Env) ScheduleControl(at sim.Time, fn func()) {
-	if env.Group != nil {
-		env.Group.ScheduleControl(at, fn)
-		return
-	}
-	env.Clock.At(at, fn)
-}
+// Sharded reports false; see Clocks.
+func (env *Env) Sharded() bool { return false }
 
 // IsRoot reports whether node i is a collection sink (the topology root
 // or one of EnvConfig.ExtraRoots).
@@ -146,35 +105,7 @@ func (env *Env) Roots() []int {
 	return append([]int{env.Topo.Root}, env.Cfg.ExtraRoots...)
 }
 
-// ShardLookahead derives the epoch length E for sharded dispatch from the
-// tightest protocol deadline the handoff delay must still clear: the MAC
-// ack round trip. A data frame resolves at its receiver E late; the ack
-// leaves AckTurnaround later, flies for its airtime, and resolves at the
-// original sender another E late — all before the sender's AckTimeout
-// (measured from the data frame's end) fires:
-//
-//	2E + AckTurnaround + ackAirtime + guard <= AckTimeout
-//
-// The guard absorbs the discrete tick the barrier loop reserves. With the
-// default CC2420-class numbers (turnaround 192 us, ack airtime 544 us,
-// timeout 1200 us, guard 64 us) E comes out at 200 us.
-func ShardLookahead(rp phy.RadioParams, mp mac.Params) sim.Time {
-	ackBits := int64(rp.PreambleBytes+packet.AckFrameLen) * 8
-	ackAir := sim.Time(ackBits * int64(sim.Second) / int64(rp.BitrateBps))
-	const guard = 64 * sim.Microsecond
-	e := (mp.AckTimeout - mp.AckTurnaround - ackAir - guard) / 2
-	if e <= 0 {
-		panic(fmt.Sprintf("node: MAC timing leaves no sharding lookahead (ack timeout %v, turnaround %v, ack airtime %v)",
-			mp.AckTimeout, mp.AckTurnaround, ackAir))
-	}
-	return e
-}
-
-// NewEnv builds the environment over a topology. With Cfg.Shards >= 1 the
-// environment comes up in region-sharded mode: per-shard wheels and probe
-// buses, the medium in cross-shard handoff mode, and a ShardGroup whose
-// epoch is ShardLookahead of the configured radio and MAC. The caller
-// must drive the run through Env.Group and Close it afterwards.
+// NewEnv builds the environment over a topology.
 func NewEnv(t *topo.Topology, cfg EnvConfig) *Env {
 	for _, r := range cfg.ExtraRoots {
 		if r < 0 || r >= t.N() || r == t.Root {
@@ -201,84 +132,7 @@ func NewEnv(t *topo.Topology, cfg EnvConfig) *Env {
 	for i := 0; i < med.N(); i++ {
 		med.Radio(i).SetTxPower(cfg.TxPowerDBm)
 	}
-	env := &Env{Clock: clock, Seeds: seeds, Topo: t, Chan: ch, Medium: med, Probes: bus, Cfg: cfg}
-	if cfg.Shards >= 1 {
-		env.Clocks = []*sim.Simulator{clock}
-		env.Buses = []*probe.Bus{bus}
-		for s := 1; s < cfg.Shards; s++ {
-			c := sim.New(cfg.Seed)
-			env.Clocks = append(env.Clocks, c)
-			env.Buses = append(env.Buses, probe.NewBus(c))
-		}
-		env.ShardOf = phy.PartitionByRegion(t, cfg.Phy, cfg.Shards)
-		epoch := ShardLookahead(cfg.Radio, cfg.MAC)
-		med.EnableSharded(env.Clocks, env.ShardOf, epoch, seeds)
-		env.Group = sim.NewShardGroup(env.Clocks, epoch, med.ShardExchange)
-	}
-	return env
-}
-
-// Close releases the environment's worker goroutines (sharded mode; a
-// no-op on the serial path).
-func (env *Env) Close() {
-	if env.Group != nil {
-		env.Group.Close()
-	}
-}
-
-// ledgerState hides the serial/sharded split of delivery accounting. The
-// serial path keeps the single ledger every layer has always shared. The
-// sharded path gives each shard its own ledger for traffic generation
-// (sources run on shard goroutines) and an append-only delivery log owned
-// by each sink's shard; finalize replays the logs in canonical
-// (time, origin, seq, sink) order into one merged ledger, so duplicate
-// and hop accounting is identical for any shard count.
-type ledgerState struct {
-	single *collect.Ledger
-	parts  []*collect.Ledger
-	logs   [][]collect.Delivery
-}
-
-func newLedgerState(env *Env) *ledgerState {
-	if !env.Sharded() {
-		return &ledgerState{single: collect.NewLedger()}
-	}
-	ls := &ledgerState{
-		parts: make([]*collect.Ledger, len(env.Clocks)),
-		logs:  make([][]collect.Delivery, len(env.Clocks)),
-	}
-	for s := range ls.parts {
-		ls.parts[s] = collect.NewLedger()
-	}
-	return ls
-}
-
-// forNode returns the ledger node i's source reports generation to.
-func (ls *ledgerState) forNode(env *Env, i int) *collect.Ledger {
-	if ls.single != nil {
-		return ls.single
-	}
-	return ls.parts[env.ShardOf[i]]
-}
-
-// deliver records a delivery at sink (on the sink's own shard when
-// sharded — only the log append happens during the run).
-func (ls *ledgerState) deliver(env *Env, sink int, origin packet.Addr, seq uint32, hops uint8) {
-	if ls.single != nil {
-		ls.single.NoteDelivered(origin, seq, hops)
-		return
-	}
-	s := env.ShardOf[sink]
-	ls.logs[s] = append(ls.logs[s], collect.Delivery{
-		At: env.Clocks[s].Now(), Origin: origin, Seq: seq, Sink: sink, Hops: hops,
-	})
-}
-
-func (ls *ledgerState) finalize() *collect.Ledger {
-	if ls.single != nil {
-		return ls.single
-	}
-	return collect.MergeLedgers(ls.parts, ls.logs)
+	return &Env{Clock: clock, Seeds: seeds, Topo: t, Chan: ch, Medium: med, Probes: bus, Cfg: cfg}
 }
 
 // CTPNetwork is a booted network of CTP nodes plus its workload and ledger.
@@ -288,18 +142,7 @@ type CTPNetwork struct {
 	MACs    []*mac.MAC
 	Ests    []core.LinkEstimator
 	Sources []*collect.Source
-	// Ledger is the run's delivery accounting. On the serial path it is
-	// live throughout the run; on the sharded path it is nil until
-	// FinalizeLedger merges the per-shard state after the run.
 	Ledger  *collect.Ledger
-	ledgers *ledgerState
-}
-
-// FinalizeLedger merges per-shard delivery accounting into Ledger after a
-// sharded run (serial: a no-op; Ledger is already the single live one).
-func (net *CTPNetwork) FinalizeLedger() *collect.Ledger {
-	net.Ledger = net.ledgers.finalize()
-	return net.Ledger
 }
 
 // BuildCTP assembles a CTP network over the default (four-bit family) link
@@ -317,32 +160,30 @@ func BuildCTP(env *Env, ctpCfg ctp.Config, estCfg core.Config, wl collect.Worklo
 // selectors at the configuration boundary (core.ParseEstimatorKind).
 func BuildCTPKind(env *Env, ctpCfg ctp.Config, estCfg core.Config, kind core.EstimatorKind, wl collect.Workload) *CTPNetwork {
 	n := env.Topo.N()
-	net := &CTPNetwork{Env: env, ledgers: newLedgerState(env)}
-	net.Ledger = net.ledgers.single
+	net := &CTPNetwork{Env: env, Ledger: collect.NewLedger()}
 	for i := 0; i < n; i++ {
 		addr := packet.Addr(i)
-		m := mac.New(env.ClockFor(i), env.Medium.Radio(i), addr, env.Cfg.MAC,
+		m := mac.New(env.Clock, env.Medium.Radio(i), addr, env.Cfg.MAC,
 			env.Seeds.Stream(fmt.Sprintf("mac/%d", i)))
 		est, err := core.NewKind(kind, addr, estCfg, nil, env.Seeds.Stream(fmt.Sprintf("est/%d", i)))
 		if err != nil {
 			panic("node: " + err.Error())
 		}
-		est.SetProbes(env.BusFor(i))
+		est.SetProbes(env.Probes)
 		if env.Cfg.WrapEstimator != nil {
 			est = env.Cfg.WrapEstimator(addr, est)
 		}
-		cn := ctp.New(env.ClockFor(i), m, est, env.IsRoot(i), ctpCfg,
+		cn := ctp.New(env.Clock, m, est, env.IsRoot(i), ctpCfg,
 			env.Seeds.Stream(fmt.Sprintf("ctp/%d", i)))
 		net.Nodes = append(net.Nodes, cn)
 		net.MACs = append(net.MACs, m)
 		net.Ests = append(net.Ests, est)
 	}
 	for _, sink := range env.Roots() {
-		sink := sink
 		net.Nodes[sink].OnDeliver(func(origin packet.Addr, _ uint8, thl uint8, data []byte) {
 			if seq, err := collect.DecodeReading(data); err == nil {
-				net.ledgers.deliver(env, sink, origin, seq, thl)
-				env.BusFor(sink).Deliver(origin, seq, thl)
+				net.Ledger.NoteDelivered(origin, seq, thl)
+				env.Probes.Deliver(origin, seq, thl)
 			}
 		})
 	}
@@ -350,13 +191,13 @@ func BuildCTPKind(env *Env, ctpCfg ctp.Config, estCfg core.Config, kind core.Est
 	for i := 0; i < n; i++ {
 		i := i
 		boot := bootRng.UniformTime(0, wl.BootWindow)
-		env.ClockFor(i).At(boot, net.Nodes[i].Start)
+		env.Clock.At(boot, net.Nodes[i].Start)
 		if env.IsRoot(i) {
 			continue
 		}
-		src := collect.NewSource(env.ClockFor(i), packet.Addr(i), wl,
+		src := collect.NewSource(env.Clock, packet.Addr(i), wl,
 			env.Seeds.Stream(fmt.Sprintf("src/%d", i)),
-			net.Nodes[i].Send, net.ledgers.forNode(env, i))
+			net.Nodes[i].Send, net.Ledger)
 		src.Start(boot)
 		net.Sources = append(net.Sources, src)
 	}
@@ -403,38 +244,27 @@ type LQINetwork struct {
 	Nodes   []*lqirouter.Node
 	MACs    []*mac.MAC
 	Sources []*collect.Source
-	// Ledger follows the same serial/sharded contract as CTPNetwork.Ledger.
 	Ledger  *collect.Ledger
-	ledgers *ledgerState
-}
-
-// FinalizeLedger merges per-shard delivery accounting into Ledger after a
-// sharded run (serial: a no-op).
-func (net *LQINetwork) FinalizeLedger() *collect.Ledger {
-	net.Ledger = net.ledgers.finalize()
-	return net.Ledger
 }
 
 // BuildLQI assembles a MultiHopLQI network, mirroring BuildCTP.
 func BuildLQI(env *Env, cfg lqirouter.Config, wl collect.Workload) *LQINetwork {
 	n := env.Topo.N()
-	net := &LQINetwork{Env: env, ledgers: newLedgerState(env)}
-	net.Ledger = net.ledgers.single
+	net := &LQINetwork{Env: env, Ledger: collect.NewLedger()}
 	for i := 0; i < n; i++ {
 		addr := packet.Addr(i)
-		m := mac.New(env.ClockFor(i), env.Medium.Radio(i), addr, env.Cfg.MAC,
+		m := mac.New(env.Clock, env.Medium.Radio(i), addr, env.Cfg.MAC,
 			env.Seeds.Stream(fmt.Sprintf("mac/%d", i)))
-		ln := lqirouter.New(env.ClockFor(i), m, env.IsRoot(i), cfg,
+		ln := lqirouter.New(env.Clock, m, env.IsRoot(i), cfg,
 			env.Seeds.Stream(fmt.Sprintf("lqi/%d", i)))
 		net.Nodes = append(net.Nodes, ln)
 		net.MACs = append(net.MACs, m)
 	}
 	for _, sink := range env.Roots() {
-		sink := sink
 		net.Nodes[sink].OnDeliver(func(origin packet.Addr, _ uint16, hops uint8, data []byte) {
 			if seq, err := collect.DecodeReading(data); err == nil {
-				net.ledgers.deliver(env, sink, origin, seq, hops)
-				env.BusFor(sink).Deliver(origin, seq, hops)
+				net.Ledger.NoteDelivered(origin, seq, hops)
+				env.Probes.Deliver(origin, seq, hops)
 			}
 		})
 	}
@@ -442,13 +272,13 @@ func BuildLQI(env *Env, cfg lqirouter.Config, wl collect.Workload) *LQINetwork {
 	for i := 0; i < n; i++ {
 		i := i
 		boot := bootRng.UniformTime(0, wl.BootWindow)
-		env.ClockFor(i).At(boot, net.Nodes[i].Start)
+		env.Clock.At(boot, net.Nodes[i].Start)
 		if env.IsRoot(i) {
 			continue
 		}
-		src := collect.NewSource(env.ClockFor(i), packet.Addr(i), wl,
+		src := collect.NewSource(env.Clock, packet.Addr(i), wl,
 			env.Seeds.Stream(fmt.Sprintf("src/%d", i)),
-			net.Nodes[i].Send, net.ledgers.forNode(env, i))
+			net.Nodes[i].Send, net.Ledger)
 		src.Start(boot)
 		net.Sources = append(net.Sources, src)
 	}

@@ -168,66 +168,7 @@ type Channel struct {
 
 	noiseRng *sim.Rand
 	fadeRng  *sim.Rand
-
-	// Sharded-dispatch state (nil on the serial path; see EnableSharded):
-	// directed fading processes plus per-receiver random streams, so that
-	// concurrent shards never touch a shared generator or a shared OU
-	// state. shardFade is indexed like the gain representation: by
-	// adjacency slot when sparse, by tx*n+rx when dense. The coefficient
-	// caches get per-shard replicas too (indexed by shardOf[rx]): they are
-	// exactness-transparent but lazily written, so sharing one across
-	// shards would be a data race — and a torn (dt, decay) pair read by
-	// another shard would silently corrupt a sample.
-	shardFade     []ouState
-	shardFadeRng  []*sim.Rand
-	shardNoiseRng []*sim.Rand
-	shardOf       []int32
-	shardFadeCo   []ouCoeffs
-	shardNoiseCo  []ouCoeffs
-	shardBurstCo  []geCoeffs
 }
-
-// EnableSharded switches the channel's time-varying processes to their
-// sharded representation: one fading process per *directed* link (the
-// serial channel shares one per unordered pair, which two shards would
-// race on), per-receiver lightweight random streams for fading, noise
-// drift, and reception draws, and per-shard transition-coefficient caches
-// — every piece of state a query can touch is owned by the shard that
-// owns the receiver (shardOf). Results therefore differ from the serial
-// channel — the two directions of a link fade independently — but are
-// bit-identical for any shard count, which is the invariant the sharded
-// dispatcher certifies (the caches never change a value, only how often
-// it is recomputed). Idempotent; must be called before the simulation
-// starts.
-func (c *Channel) EnableSharded(seeds *sim.SeedSpace, shardOf []int32, shards int) {
-	if c.shardFadeRng != nil {
-		return
-	}
-	if c.sparse {
-		c.shardFade = make([]ouState, len(c.adjNbr))
-	} else {
-		c.shardFade = make([]ouState, c.n*c.n)
-	}
-	c.shardFadeRng = make([]*sim.Rand, c.n)
-	c.shardNoiseRng = make([]*sim.Rand, c.n)
-	for i := 0; i < c.n; i++ {
-		c.shardFadeRng[i] = seeds.Light(fmt.Sprintf("shard/fade/%d", i))
-		c.shardNoiseRng[i] = seeds.Light(fmt.Sprintf("shard/noise/%d", i))
-	}
-	c.shardOf = shardOf
-	c.shardFadeCo = make([]ouCoeffs, shards)
-	c.shardNoiseCo = make([]ouCoeffs, shards)
-	if c.bursts != nil {
-		c.shardBurstCo = make([]geCoeffs, shards)
-		for i := 0; i < c.n; i++ {
-			c.bursts[i].SharedDecay(&c.shardBurstCo[shardOf[i]])
-		}
-	}
-}
-
-// Sharded reports whether EnableSharded has switched this channel to the
-// per-directed-link representation.
-func (c *Channel) Sharded() bool { return c.shardFadeRng != nil }
 
 // chanMemo is one slot of the same-instant memo. epoch 0 is never current
 // (epochs start at 1), so the zero value is invalid without initialization.
@@ -416,13 +357,9 @@ func (c *Channel) GainDB(tx, rx int, t sim.Time) float64 {
 		}
 		g := c.adjGainDB[slot]
 		if c.p.FadeSigmaDB > 0 {
-			if c.shardFade != nil {
-				g += c.shardFade[slot].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.shardFadeRng[rx], &c.shardFadeCo[c.shardOf[rx]])
-			} else {
-				// Fading is a property of the physical path: one process per
-				// stored unordered pair, so the two directions fade together.
-				g += c.fade[c.adjPair[slot]].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
-			}
+			// Fading is a property of the physical path: one process per
+			// stored unordered pair, so the two directions fade together.
+			g += c.fade[c.adjPair[slot]].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
 		}
 		if c.linkModCount > 0 {
 			if m := c.modMap[int64(tx)*int64(c.n)+int64(rx)]; m != nil {
@@ -433,13 +370,9 @@ func (c *Channel) GainDB(tx, rx int, t sim.Time) float64 {
 	}
 	g := c.staticGainDB[tx*c.n+rx]
 	if c.p.FadeSigmaDB > 0 {
-		if c.shardFade != nil {
-			g += c.shardFade[tx*c.n+rx].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.shardFadeRng[rx], &c.shardFadeCo[c.shardOf[rx]])
-		} else {
-			// Fading is a property of the physical path: use one process per
-			// unordered pair so the two directions fade together.
-			g += c.fadeState(tx, rx).sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
-		}
+		// Fading is a property of the physical path: use one process per
+		// unordered pair so the two directions fade together.
+		g += c.fadeState(tx, rx).sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
 	}
 	if c.linkModCount > 0 {
 		if m := c.modifiers[tx*c.n+rx]; m != nil {
@@ -468,11 +401,7 @@ func (c *Channel) GainLin(tx, rx int, t sim.Time) float64 {
 	g := c.staticGainLin[idx]
 	varDB := 0.0
 	if c.p.FadeSigmaDB > 0 {
-		if c.shardFade != nil {
-			varDB = c.shardFade[idx].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.shardFadeRng[rx], &c.shardFadeCo[c.shardOf[rx]])
-		} else {
-			varDB = c.fadeState(tx, rx).sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
-		}
+		varDB = c.fadeState(tx, rx).sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
 	}
 	if c.linkModCount > 0 {
 		if lm := c.modifiers[idx]; lm != nil {
@@ -510,11 +439,7 @@ func (c *Channel) StaticGainDB(tx, rx int) float64 {
 func (c *Channel) NoiseDBm(rx int, t sim.Time) float64 {
 	nz := c.p.NoiseFloorDBm + c.noiseFigDB[rx]
 	if c.p.NoiseDriftSigmaDB > 0 {
-		rng, co := c.noiseRng, &c.noiseCo
-		if c.shardNoiseRng != nil {
-			rng, co = c.shardNoiseRng[rx], &c.shardNoiseCo[c.shardOf[rx]]
-		}
-		nz += c.noiseDrift[rx].sample(t, c.p.NoiseDriftTau, c.p.NoiseDriftSigmaDB, rng, co)
+		nz += c.noiseDrift[rx].sample(t, c.p.NoiseDriftTau, c.p.NoiseDriftSigmaDB, c.noiseRng, &c.noiseCo)
 	}
 	if c.bursts != nil {
 		nz += c.bursts[rx].ExtraLossDB(t)
@@ -539,11 +464,7 @@ func (c *Channel) NoiseMW(rx int, t sim.Time) float64 {
 	mw := c.noiseMWStatic[rx]
 	varDB := 0.0
 	if c.p.NoiseDriftSigmaDB > 0 {
-		rng, co := c.noiseRng, &c.noiseCo
-		if c.shardNoiseRng != nil {
-			rng, co = c.shardNoiseRng[rx], &c.shardNoiseCo[c.shardOf[rx]]
-		}
-		varDB = c.noiseDrift[rx].sample(t, c.p.NoiseDriftTau, c.p.NoiseDriftSigmaDB, rng, co)
+		varDB = c.noiseDrift[rx].sample(t, c.p.NoiseDriftTau, c.p.NoiseDriftSigmaDB, c.noiseRng, &c.noiseCo)
 	}
 	if c.bursts != nil {
 		varDB += c.bursts[rx].ExtraLossDB(t)

@@ -69,8 +69,6 @@ type Medium struct {
 
 	onTransmit func(from int, data []byte)
 
-	sh *shardedMedium // nil on the serial path; see EnableSharded
-
 	Stats MediumStats
 }
 
@@ -95,7 +93,6 @@ type transmission struct {
 
 type reception struct {
 	tx          *transmission
-	rec         *shardRec // sharded path; exactly one of tx/rec is set
 	powerMW     float64
 	curInterfMW float64
 	maxInterfMW float64
@@ -167,15 +164,8 @@ func NewMedium(clock *sim.Simulator, ch *Channel, rp RadioParams, lqip LQIParams
 func (m *Medium) Radio(id int) *Radio { return m.radios[id] }
 
 // OnTransmit installs a measurement tap invoked for every transmission put
-// on the air (trace recording; not visible to the protocol stack). Serial
-// path only: under sharded dispatch the tap would run concurrently from
-// every shard, so the combination panics instead of racing silently.
-func (m *Medium) OnTransmit(fn func(from int, data []byte)) {
-	if m.sh != nil {
-		panic("phy: OnTransmit is incompatible with sharded dispatch")
-	}
-	m.onTransmit = fn
-}
+// on the air (trace recording; not visible to the protocol stack).
+func (m *Medium) OnTransmit(fn func(from int, data []byte)) { m.onTransmit = fn }
 
 // N returns the number of radios.
 func (m *Medium) N() int { return len(m.radios) }
@@ -185,13 +175,6 @@ func (m *Medium) N() int { return len(m.radios) }
 func (m *Medium) Airtime(payloadBytes int) sim.Time {
 	bits := int64(m.rp.PreambleBytes+payloadBytes) * 8
 	return sim.Time(bits * int64(sim.Second) / int64(m.rp.BitrateBps))
-}
-
-func (m *Medium) noiseMW(id int) float64 {
-	if m.sh != nil {
-		return m.ch.NoiseMW(id, m.sh.shards[m.sh.shardOf[id]].clock.Now())
-	}
-	return m.ch.NoiseMW(id, m.clock.Now())
 }
 
 // getPowBuf returns a zeroed per-transmission received-power buffer sized
@@ -231,38 +214,25 @@ func (m *Medium) getTx() *transmission {
 // table does not serve. The per-medium slice keeps the shared-cache lookup
 // off the per-reception path.
 func (m *Medium) prrDecide(sinrDB float64, frameBytes int) bool {
-	return m.prrDecideWith(sinrDB, frameBytes, m.rng, &m.prrT)
-}
-
-// prrDecideWith is prrDecide with the draw stream and the table cache as
-// parameters: the sharded resolve path supplies a per-receiver stream and
-// a per-shard cache, so concurrent shards neither contend on one
-// generator nor race on the lazily-grown cache slice.
-func (m *Medium) prrDecideWith(sinrDB float64, frameBytes int, rng *sim.Rand, cache *[]*PRRTable) bool {
-	prrT := *cache
-	if frameBytes > 0 && frameBytes < len(prrT) {
-		if tb := prrT[frameBytes]; tb != nil {
-			return tb.Decide(sinrDB, rng)
+	if frameBytes > 0 && frameBytes < len(m.prrT) {
+		if tb := m.prrT[frameBytes]; tb != nil {
+			return tb.Decide(sinrDB, m.rng)
 		}
 	}
 	tb := PRRTableFor(frameBytes)
 	if tb == nil {
-		return rng.Bernoulli(PRR(sinrDB, frameBytes))
+		return m.rng.Bernoulli(PRR(sinrDB, frameBytes))
 	}
-	if frameBytes >= len(prrT) {
+	if frameBytes >= len(m.prrT) {
 		grown := make([]*PRRTable, frameBytes+1)
-		copy(grown, prrT)
-		prrT = grown
+		copy(grown, m.prrT)
+		m.prrT = grown
 	}
-	prrT[frameBytes] = tb
-	*cache = prrT
-	return tb.Decide(sinrDB, rng)
+	m.prrT[frameBytes] = tb
+	return tb.Decide(sinrDB, m.rng)
 }
 
 func (m *Medium) startTx(r *Radio, data []byte) sim.Time {
-	if m.sh != nil {
-		return m.startTxSharded(r, data)
-	}
 	if r.transmitting {
 		panic(fmt.Sprintf("phy: radio %d Transmit while transmitting", r.id))
 	}
@@ -458,13 +428,6 @@ func (r *Radio) lockOn(t *transmission, pmw, interf float64) {
 	r.rx = &r.rxBuf
 }
 
-// lockOnRec is lockOn for the sharded path, where the frame arrives as a
-// cross-shard record instead of a live transmission.
-func (r *Radio) lockOnRec(rec *shardRec, pmw, interf float64) {
-	r.rxBuf = reception{rec: rec, powerMW: pmw, curInterfMW: interf, maxInterfMW: interf}
-	r.rx = &r.rxBuf
-}
-
 // RadioStats count per-radio frame outcomes.
 type RadioStats struct {
 	TxFrames       uint64
@@ -532,7 +495,7 @@ func (r *Radio) ChannelClear() bool {
 	if r.down || r.transmitting || r.rx != nil {
 		return false
 	}
-	return r.m.noiseMW(r.id)+r.m.interfMW[r.id] < r.m.ccaMW
+	return r.m.ch.NoiseMW(r.id, r.m.clock.Now())+r.m.interfMW[r.id] < r.m.ccaMW
 }
 
 // Transmit puts data on the air immediately and returns its airtime. The

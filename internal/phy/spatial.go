@@ -438,11 +438,7 @@ func (c *Channel) gainLinSlot(tx, rx int, slot int32, t sim.Time) float64 {
 	g := c.adjGainLin[slot]
 	varDB := 0.0
 	if c.p.FadeSigmaDB > 0 {
-		if c.shardFade != nil {
-			varDB = c.shardFade[slot].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.shardFadeRng[rx], &c.shardFadeCo[c.shardOf[rx]])
-		} else {
-			varDB = c.fade[c.adjPair[slot]].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
-		}
+		varDB = c.fade[c.adjPair[slot]].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
 	}
 	if c.linkModCount > 0 {
 		if lm := c.modMap[int64(tx)*int64(c.n)+int64(rx)]; lm != nil {

@@ -63,9 +63,9 @@ func TestMultiSinkPresetCompiles(t *testing.T) {
 }
 
 // TestMultiSinkSmoke runs a short multi-sink collection end to end on the
-// 2000-node corridor (sharded, like any city-scale run): traffic must be
-// generated and delivered, and the per-node accounting must cover every
-// non-sink origin — the merged multi-sink ledger behind one number.
+// 2000-node corridor: traffic must be generated and delivered, and the
+// per-node accounting must cover every non-sink origin — the shared
+// multi-sink ledger behind one number.
 func TestMultiSinkSmoke(t *testing.T) {
 	p, _ := Preset("city-corridor-2k")
 	p.Spec.DurationMin = 0.2

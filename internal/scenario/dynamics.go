@@ -144,9 +144,8 @@ func compileDynamics(events []Event) func(*node.Env) {
 	evs := append([]Event(nil), events...)
 	return func(env *node.Env) {
 		links := map[[2]int]sumModifier{}
-		dlinks := map[[2]int]sumModifier{}
 		for i := range evs {
-			installEvent(env, i, &evs[i], links, dlinks)
+			installEvent(env, i, &evs[i], links)
 		}
 		for pair, mods := range links {
 			var m phy.LinkModifier = mods
@@ -155,20 +154,12 @@ func compileDynamics(events []Event) func(*node.Env) {
 			}
 			env.Chan.SetModifierBoth(pair[0], pair[1], m)
 		}
-		for pair, mods := range dlinks {
-			var m phy.LinkModifier = mods
-			if len(mods) == 1 {
-				m = mods[0]
-			}
-			env.Chan.SetModifier(pair[0], pair[1], m)
-		}
 	}
 }
 
-// links collects undirected serial-run burst modifiers (one shared process
-// per pair, installed both ways); dlinks collects the sharded run's
-// directed ones — see the link-burst case for why sharding splits them.
-func installEvent(env *node.Env, idx int, e *Event, links, dlinks map[[2]int]sumModifier) {
+// links collects link-burst modifiers per unordered pair (one shared
+// process per pair, installed both ways).
+func installEvent(env *node.Env, idx int, e *Event, links map[[2]int]sumModifier) {
 	at := sim.FromSeconds(e.AtMin * 60)
 	until := sim.FromSeconds(e.UntilMin * 60)
 	switch e.Kind {
@@ -181,16 +172,13 @@ func installEvent(env *node.Env, idx int, e *Event, links, dlinks map[[2]int]sum
 				targets = append(targets, id)
 			}
 		}
-		// ScheduleControl is Clock.At on the serial path; on the sharded
-		// path it runs the mutation at an epoch barrier with every shard
-		// idle, since radio state belongs to the owning shard mid-epoch.
-		env.ScheduleControl(at, func() {
+		env.Clock.At(at, func() {
 			for _, id := range targets {
 				env.Medium.Radio(id).SetDown(true)
 			}
 		})
 		if e.UntilMin > 0 {
-			env.ScheduleControl(until, func() {
+			env.Clock.At(until, func() {
 				for _, id := range targets {
 					env.Medium.Radio(id).SetDown(false)
 				}
@@ -198,7 +186,7 @@ func installEvent(env *node.Env, idx int, e *Event, links, dlinks map[[2]int]sum
 		}
 	case "node-up":
 		targets := e.targets(env)
-		env.ScheduleControl(at, func() {
+		env.Clock.At(at, func() {
 			for _, id := range targets {
 				env.Medium.Radio(id).SetDown(false)
 			}
@@ -206,7 +194,7 @@ func installEvent(env *node.Env, idx int, e *Event, links, dlinks map[[2]int]sum
 	case "power-step":
 		targets := e.targets(env)
 		power := e.PowerDBm
-		env.ScheduleControl(at, func() {
+		env.Clock.At(at, func() {
 			for _, id := range targets {
 				env.Medium.Radio(id).SetTxPower(power)
 			}
@@ -225,31 +213,13 @@ func installEvent(env *node.Env, idx int, e *Event, links, dlinks map[[2]int]sum
 		amp := orf(e.AmpDB, 50)
 		meanOn := sim.FromSeconds(orf(e.MeanOnMS, 500) / 1000)
 		meanOff := sim.FromSeconds(orf(e.MeanOffS, 5))
+		ge := phy.NewGilbertElliott(amp, meanOff, meanOn,
+			env.Seeds.Stream(fmt.Sprintf("scenario/event/%d/link", idx))).
+			Window(at, until)
 		a, b := e.LinkA, e.LinkB
 		if a > b {
 			a, b = b, a
 		}
-		if env.Sharded() {
-			// A shared two-way process would be sampled by both endpoints'
-			// shards concurrently — a data race, and an interleaving-
-			// dependent trajectory. Sharded runs attenuate each direction
-			// with its own process (distinct seed streams), which is a
-			// different but equally valid burst realization; within the
-			// sharded world it is shard-count invariant because each
-			// directed process is only ever sampled by the receiver's
-			// shard at the same virtual instants for any shard count.
-			mk := func(dir string) phy.LinkModifier {
-				return phy.NewGilbertElliott(amp, meanOff, meanOn,
-					env.Seeds.Stream(fmt.Sprintf("scenario/event/%d/link/%s", idx, dir))).
-					Window(at, until)
-			}
-			dlinks[[2]int{a, b}] = append(dlinks[[2]int{a, b}], mk("fwd"))
-			dlinks[[2]int{b, a}] = append(dlinks[[2]int{b, a}], mk("rev"))
-			return
-		}
-		ge := phy.NewGilbertElliott(amp, meanOff, meanOn,
-			env.Seeds.Stream(fmt.Sprintf("scenario/event/%d/link", idx))).
-			Window(at, until)
 		links[[2]int{a, b}] = append(links[[2]int{a, b}], ge)
 	}
 }

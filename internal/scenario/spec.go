@@ -63,14 +63,6 @@ type Spec struct {
 	// steps, interference onset, link bursts.
 	Dynamics []Event `json:",omitempty"`
 
-	// Shards selects the region-sharded parallel event loop
-	// (experiment.RunConfig.Shards): 0 auto-selects — city-scale
-	// populations shard, everything else (every golden config included)
-	// stays on the serial path byte-for-byte; >= 1 forces that shard
-	// count; -1 forces serial. Sharded results are invariant to the shard
-	// count but are a different (equally valid) trajectory than serial.
-	// Incompatible with TimelineS (the probe collector is serial-only).
-	Shards int `json:",omitempty"`
 	// Sinks is the number of collection roots (multi-sink collection).
 	// 0 or 1 is the classic single-sink run, bit-for-bit. Larger values
 	// add Sinks-1 extra roots at deterministic geometric anchors spread
@@ -216,12 +208,6 @@ func (s *Spec) Validate() error {
 	if s.Replicates < 0 {
 		return fmt.Errorf("scenario %q: negative replicates", s.Name)
 	}
-	if s.Shards < -1 {
-		return fmt.Errorf("scenario %q: Shards must be -1 (serial), 0 (auto) or a shard count", s.Name)
-	}
-	if s.Shards > 0 && s.TimelineS > 0 {
-		return fmt.Errorf("scenario %q: TimelineS needs the serial path; drop Shards or set it to -1", s.Name)
-	}
 	if s.Sinks < 0 || s.Sinks > 9 {
 		return fmt.Errorf("scenario %q: Sinks must be between 0 and 9, got %d", s.Name, s.Sinks)
 	}
@@ -327,7 +313,6 @@ func (s *Spec) RunConfig() (experiment.RunConfig, error) {
 	if s.TimelineS > 0 {
 		rc.TimelineWindow = sim.FromSeconds(s.TimelineS)
 	}
-	rc.Shards = s.Shards
 	if s.Sinks > 1 {
 		rc.ExtraSinks = extraSinks(tp, s.Sinks-1)
 	}

@@ -64,6 +64,11 @@ func TestRunConfigRejectsOutOfRangeNodes(t *testing.T) {
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	_, err := ParseSpec([]byte(`{"Protocol": "4B", "TablSize": 4}`))
 	wantErr(t, err, "TablSize")
+	// A retired knob is unknown too: the simulator has one serial event
+	// loop, so a spec still asking for region shards must not run silently
+	// on a loop it did not ask for.
+	_, err = ParseSpec([]byte(`{"Protocol": "4B", "Shards": 2}`))
+	wantErr(t, err, "Shards")
 }
 
 func TestParseSpecRoundTrip(t *testing.T) {

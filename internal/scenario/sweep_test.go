@@ -180,6 +180,8 @@ func TestSweepExports(t *testing.T) {
 func TestParseSweepRejectsUnknownFields(t *testing.T) {
 	_, err := ParseSweep([]byte(`{"Base": {}, "Axez": []}`))
 	wantErr(t, err, "Axez")
+	_, err = ParseSweep([]byte(`{"Base": {"Protocol": "4B", "Shards": 2}}`))
+	wantErr(t, err, "Shards")
 }
 
 func TestPresetsAllValid(t *testing.T) {

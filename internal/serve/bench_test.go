@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -15,46 +14,58 @@ import (
 	"fourbit/internal/sim"
 )
 
-// footerSizes is the footer-length mix of a recorded feed, per mille:
-// entry k is the share of beacons carrying k footer entries. Source: the
-// 85 per-node feeds of `fourbitsim scenario -preset baseline -minutes 5
-// -estfeed-dir DIR` (4B on Mirage, seed 1 — the run the serve-replay
-// benchmark replays), 285,839 beacons. Footers stop at 8 entries, the
+// footerSizes and feedMix describe a recorded feed: the 85 per-node feeds
+// of `fourbitsim scenario -preset baseline -minutes 5 -estfeed-dir DIR`
+// (4B on Mirage, seed 1 — the run the serve-replay benchmark replays),
+// 299,484 events.
+//
+// footerSizes is the footer-length mix per mille: entry k is the share of
+// beacons carrying k footer entries. Footers stop at 8 entries, the
 // default core.Config.FooterEntries; half the beacons carry all 8.
 var footerSizes = [...]int{14, 22, 31, 40, 54, 67, 109, 142, 521}
 
-// benchLines builds a representative wire stream: mostly footered beacons,
-// some tx/rx/age — the shape a scenario feed replays. Footer lengths follow
-// footerSizes, so the per-entry decode cost weighs as it does on a feed.
+// feedMix is the event-kind mix per mille: 285,839 beacons, 6,056 age
+// passes, 3,912 tx results and 3,677 overheard frames (rx takes the
+// remaining 12). Every beacon and rx line carries a full-precision snr
+// (median 12.7 dB, quartiles 7.0 and 19.3); 92.5% of beacons and rx are
+// white, 87% of tx results acked, and age silences are 312.5 ms doublings.
+const (
+	mixBeacon = 955
+	mixAge    = 20
+	mixTx     = 13
+)
+
+// benchLines builds a wire stream shaped like the recorded feed: its kind
+// mix, footer lengths, snr on every beacon and rx, all in the canonical
+// line grammar the feed recorder writes (wire.AppendJSONLEvent).
 func benchLines(n int) [][]byte {
 	r := sim.NewRand(0xBE7C)
-	var now int64
+	var now sim.Time
 	var seqs [32]uint16
+	var links [packet.MaxLinkEntries]packet.LinkEntry
 	out := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
-		now += 1 + r.Int63n(int64(sim.Second))
-		src := 1 + r.Intn(18)
-		var line string
-		switch k := r.Intn(10); {
-		case k < 6:
+		now += sim.Time(1 + r.Int63n(int64(sim.Second)))
+		src := packet.Addr(1 + r.Intn(18))
+		ev := Event{At: now, Src: src, LQI: uint8(100 + r.Intn(11)), White: r.Bernoulli(0.925),
+			SNR: r.Normal(12.7, 9.1)}
+		switch k := r.Intn(1000); {
+		case k < mixBeacon:
+			ev.Ev = EvBeacon
 			seqs[src]++
-			line = fmt.Sprintf(`{"ev":"beacon","at":%d,"src":%d,"seq":%d,"lqi":%d,"white":true`,
-				now, src, seqs[src], 40+r.Intn(80))
-			if links := make([]string, footerLen(r)); len(links) > 0 {
-				for j := range links {
-					links[j] = fmt.Sprintf(`{"addr":%d,"q":%d}`, r.Intn(85), r.Intn(256))
-				}
-				line += `,"links":[` + strings.Join(links, ",") + `]`
+			ev.Seq = seqs[src]
+			ev.Links = links[:footerLen(r)]
+			for j := range ev.Links {
+				ev.Links[j] = packet.LinkEntry{Addr: packet.Addr(r.Intn(85)), InQuality: uint8(r.Intn(256))}
 			}
-			line += "}"
-		case k < 8:
-			line = fmt.Sprintf(`{"ev":"tx","at":%d,"dest":%d,"acked":%v}`, now, src, r.Bernoulli(0.7))
-		case k < 9:
-			line = fmt.Sprintf(`{"ev":"rx","at":%d,"src":%d,"lqi":%d}`, now, src, 40+r.Intn(60))
+		case k < mixBeacon+mixAge:
+			ev = Event{Ev: EvAge, At: now, Silence: 312_500 * sim.Microsecond << r.Intn(5)}
+		case k < mixBeacon+mixAge+mixTx:
+			ev = Event{Ev: EvTx, At: now, Src: src, Acked: r.Bernoulli(0.87)}
 		default:
-			line = fmt.Sprintf(`{"ev":"age","at":%d,"silence":%d}`, now, 2*int64(sim.Second))
+			ev.Ev = EvRx
 		}
-		out = append(out, []byte(line))
+		out = append(out, wire.AppendJSONLEvent(nil, &ev))
 	}
 	return out
 }

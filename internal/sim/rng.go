@@ -17,7 +17,6 @@ import (
 type SeedSpace struct {
 	master  uint64
 	streams map[string]*Rand
-	lights  map[string]*Rand // lazily built; see Light
 }
 
 // NewSeedSpace returns a seed space rooted at master.
@@ -45,51 +44,6 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// Light returns the named lightweight stream, creating it on first use.
-// Seed derivation matches Stream (fnv64a of the name xor master, finalized
-// by SplitMix64), but the generator is a SplitMix64 sequence instead of the
-// stdlib source: 8 bytes of state versus ~5 KB. The sharded medium hands
-// every node three private streams (reception, fade, noise) so that shards
-// never contend on a shared generator — at 10k nodes the stdlib source
-// would cost ~150 MB where SplitMix64 costs ~2 MB. Light and Stream names
-// live in separate namespaces; reusing a name across them is fine.
-func (ss *SeedSpace) Light(name string) *Rand {
-	if ss.lights == nil {
-		ss.lights = make(map[string]*Rand)
-	}
-	if r, ok := ss.lights[name]; ok {
-		return r
-	}
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	r := NewLightRand(splitmix64(ss.master ^ h.Sum64()))
-	ss.lights[name] = r
-	return r
-}
-
-// lightSource is a SplitMix64 generator behind the rand.Source interface.
-// It deliberately does not implement rand.Source64 so that, like
-// countingSource, every state transition funnels through Int63.
-type lightSource struct{ state uint64 }
-
-func (s *lightSource) Int63() int64 {
-	s.state += 0x9e3779b97f4a7c15
-	x := s.state
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return int64((x ^ (x >> 31)) >> 1)
-}
-
-func (s *lightSource) Seed(seed int64) { s.state = uint64(seed) }
-
-// NewLightRand returns a stream backed by an 8-byte SplitMix64 source
-// instead of the stdlib's ~5 KB lagged-Fibonacci state. Statistically
-// SplitMix64 passes BigCrush; the trade is a shorter period (2^64), which
-// is far beyond any simulated run. Use for large per-node stream families.
-func NewLightRand(seed uint64) *Rand {
-	return &Rand{Rand: rand.New(&lightSource{state: seed})}
 }
 
 // Rand is a deterministic random stream with the distributions the

@@ -96,22 +96,6 @@ func (s *Simulator) ScheduleArg(at Time, fn func(any), arg any) {
 	s.queue.push(t)
 }
 
-// ScheduleArgSilent is ScheduleArg for bookkeeping events that must not
-// count toward Events(). The sharded medium schedules its cross-shard
-// handoff applies/resolves with it: how many such events exist depends on
-// the shard count, while Events() is part of the run fingerprint and must
-// stay invariant for any number of shards. Dispatch ordering is identical
-// to ScheduleArg (same wheel, same FIFO-at-deadline contract).
-func (s *Simulator) ScheduleArgSilent(at Time, fn func(any), arg any) {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	t := s.pooledTimer(at)
-	t.fnArg, t.arg = fn, arg
-	t.silent = true
-	s.queue.push(t)
-}
-
 func (s *Simulator) pooledTimer(at Time) *Timer {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
@@ -167,9 +151,7 @@ func (s *Simulator) Step() bool {
 	}
 	s.queue.pop()
 	s.now = t.at
-	if !t.silent {
-		s.events++
-	}
+	s.events++
 	fn, fnArg, arg := t.fn, t.fnArg, t.arg
 	if t.repeat > 0 && !t.cancelled {
 		t.at += t.repeat
@@ -241,7 +223,6 @@ type Timer struct {
 	fired      bool
 	cancelled  bool
 	pooled     bool
-	silent     bool // excluded from Events(); see ScheduleArgSilent
 }
 
 // Cancel removes the event from the queue. It reports whether the event was
