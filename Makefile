@@ -37,15 +37,16 @@ lint: vet docs
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 
 # golden regenerates the pinned goldens from the current model: the
-# run-fingerprint goldens and the timeline-figure stdout. Only for
-# deliberate, documented model changes — the goldens certify that
-# performance kernels and refactors (like the estimator framework
-# extraction and the probe bus) leave simulation trajectories
+# run-fingerprint goldens, the timeline-figure stdout and the stdout of
+# every RunConfig-batch figure (fig2, fig6, fig7, fig8, headline,
+# compare). Only for deliberate, documented model changes — the goldens
+# certify that performance kernels and refactors (like the estimator
+# framework extraction and the probe bus) leave simulation trajectories
 # bit-identical, so a regen that accompanies an "exact" rewrite is a red
 # flag in review.
 golden:
 	$(GO) test ./internal/experiment -run TestGoldenRunFingerprints -update-goldens
-	$(GO) test ./internal/scenario -run TestGoldenTimelineFigure -update-goldens
+	$(GO) test ./internal/scenario -run 'TestGoldenTimelineFigure|TestGoldenFigures' -update-goldens
 
 # golden-check verifies the committed goldens match the current model (the
 # CI guard that a PR did not drift the model without regenerating — or
@@ -56,7 +57,7 @@ golden:
 # hollow out what they certify.
 golden-check:
 	$(GO) test ./internal/experiment -run 'TestGoldenRunFingerprints|TestGoldenConfigsSelectDensePath' -count=1
-	$(GO) test ./internal/scenario -run TestGoldenTimelineFigure -count=1
+	$(GO) test ./internal/scenario -run 'TestGoldenTimelineFigure|TestGoldenFigures' -count=1
 
 # city-scale-smoke boots the 2000-node city corridor preset over the
 # sparse audible-set channel under the race detector: representation pin

@@ -11,7 +11,7 @@ import (
 	"fourbit/internal/experiment"
 )
 
-var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/golden_timeline.txt from the current model")
+var updateGoldens = flag.Bool("update-goldens", false, "rewrite the testdata/golden_*.txt figure goldens from the current model")
 
 // The agility figure pinned by the golden and the ordering test: seed 1,
 // 12 simulated minutes (death at 4.8), the default grid. One execution
@@ -72,9 +72,13 @@ func TestGoldenTimelineFigure(t *testing.T) {
 	}
 	var b bytes.Buffer
 	agilityFixture().Fprint(&b)
-	got := b.String()
+	checkGolden(t, "testdata/golden_timeline.txt", b.String())
+}
 
-	const path = "testdata/golden_timeline.txt"
+// checkGolden compares rendered figure output against a committed golden
+// file, or rewrites the file under -update-goldens.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGoldens {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -90,7 +94,7 @@ func TestGoldenTimelineFigure(t *testing.T) {
 		t.Fatalf("missing goldens (run with -update-goldens to create): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("timeline figure diverged from golden.\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("%s: figure output diverged from golden.\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
@@ -58,4 +60,30 @@ func TestFig2OutputByteIdentical(t *testing.T) {
 		t.Fatalf("fig2 output differs:\n-- classic --\n%s\n-- scenario --\n%s",
 			classic.String(), preset.String())
 	}
+}
+
+// TestGoldenFigures pins the rendered stdout of every RunConfig-batch
+// figure byte-for-byte: the output of `fourbitsim <figure> -seed 1
+// -minutes 2 -workers 2` for fig2, fig6, fig7, fig8, headline and compare,
+// each under a "== name ==" header. Regenerate with:
+//
+//	go test ./internal/scenario -run TestGoldenFigures -update-goldens
+func TestGoldenFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run simulation")
+	}
+	const seed, minutes, workers = 1, 2.0, 2
+	var b bytes.Buffer
+	section := func(name string, render func(io.Writer)) {
+		fmt.Fprintf(&b, "== %s ==\n", name)
+		render(&b)
+	}
+	sweep := RunPowerSweep(seed, minutes, workers)
+	section("fig2", RunFig2(seed, minutes, workers).Fprint)
+	section("fig6", RunFig6(seed, minutes, workers).Fprint)
+	section("fig7", sweep.FprintFig7)
+	section("fig8", sweep.FprintFig8)
+	section("headline", RunHeadline(seed, minutes, workers).Fprint)
+	section("compare", RunEstCompare(seed, minutes, workers).Fprint)
+	checkGolden(t, "testdata/golden_figures.txt", b.String())
 }
