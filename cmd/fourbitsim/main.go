@@ -38,6 +38,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -68,65 +69,73 @@ func main() {
 // flags through commonFlags, so the shared knobs (seed, duration, workers,
 // profiles) cannot drift between subcommands.
 func subcommands() map[string]func([]string) {
-	return map[string]func([]string){
-		"fig2": func(args []string) {
-			c := newCommonFlags("fig2")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunFig2(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
-		},
-		"fig3": runFig3,
-		"fig6": func(args []string) {
-			c := newCommonFlags("fig6")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunFig6(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
-		},
-		"fig7": func(args []string) {
-			c := newCommonFlags("fig7")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunPowerSweep(*c.seed, *minutes, *c.workers).FprintFig7(os.Stdout)
-		},
-		"fig8": func(args []string) {
-			c := newCommonFlags("fig8")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunPowerSweep(*c.seed, *minutes, *c.workers).FprintFig8(os.Stdout)
-		},
-		"headline": func(args []string) {
-			c := newCommonFlags("headline")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunHeadline(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
-		},
-		"compare": func(args []string) {
-			c := newCommonFlags("compare")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunEstCompare(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
-		},
+	cmds := map[string]func([]string){
+		"fig3":      runFig3,
 		"timeline":  runTimeline,
 		"replicate": runReplicate,
 		"scenario":  runScenario,
 		"sweep":     runSweep,
 		"serve":     runServe,
 		"feedconv":  runFeedconv,
-		"all": func(args []string) {
-			c := newCommonFlags("all")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunFig2(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
+	}
+	var all []figure
+	for _, fig := range figures {
+		fig := fig
+		cmds[fig.name] = func(args []string) { runFigures(fig.name, args, []figure{fig}) }
+		if fig.inAll {
+			all = append(all, fig)
+		}
+	}
+	cmds["all"] = func(args []string) { runFigures("all", args, all) }
+	return cmds
+}
+
+// figure is one RunConfig-batch figure subcommand: its name and how it
+// renders from a figureRun.
+type figure struct {
+	name   string
+	inAll  bool // printed by `all`
+	render func(f *figureRun, w io.Writer)
+}
+
+// figures is the figure subcommand table, in the order `all` prints them.
+var figures = []figure{
+	{"fig2", true, func(f *figureRun, w io.Writer) { scenario.RunFig2(f.seed, f.minutes, f.workers).Fprint(w) }},
+	{"fig6", true, func(f *figureRun, w io.Writer) { scenario.RunFig6(f.seed, f.minutes, f.workers).Fprint(w) }},
+	{"fig7", true, func(f *figureRun, w io.Writer) { f.powerSweep().FprintFig7(w) }},
+	{"fig8", true, func(f *figureRun, w io.Writer) { f.powerSweep().FprintFig8(w) }},
+	{"headline", true, func(f *figureRun, w io.Writer) { scenario.RunHeadline(f.seed, f.minutes, f.workers).Fprint(w) }},
+	{"compare", false, func(f *figureRun, w io.Writer) { scenario.RunEstCompare(f.seed, f.minutes, f.workers).Fprint(w) }},
+}
+
+// figureRun carries the parsed figure flags across the figures of one
+// invocation, so fig7 and fig8 under `all` share one power-sweep batch.
+type figureRun struct {
+	seed    uint64
+	minutes float64
+	workers int
+	sweep   *scenario.PowerSweepResult
+}
+
+func (f *figureRun) powerSweep() *scenario.PowerSweepResult {
+	if f.sweep == nil {
+		f.sweep = scenario.RunPowerSweep(f.seed, f.minutes, f.workers)
+	}
+	return f.sweep
+}
+
+// runFigures parses the figure flags and prints figs to stdout in order,
+// separated by blank lines.
+func runFigures(cmd string, args []string, figs []figure) {
+	c := newCommonFlags(cmd)
+	minutes := c.minutes()
+	defer c.parse(args)()
+	f := &figureRun{seed: *c.seed, minutes: *minutes, workers: *c.workers}
+	for i, fig := range figs {
+		if i > 0 {
 			fmt.Println()
-			scenario.RunFig6(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
-			fmt.Println()
-			sweep := scenario.RunPowerSweep(*c.seed, *minutes, *c.workers)
-			sweep.FprintFig7(os.Stdout)
-			fmt.Println()
-			sweep.FprintFig8(os.Stdout)
-			fmt.Println()
-			scenario.RunHeadline(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
-		},
+		}
+		fig.render(f, os.Stdout)
 	}
 }
 

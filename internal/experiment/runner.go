@@ -16,19 +16,15 @@ import (
 // The run scheduler. Every figure of the evaluation is a batch of
 // *independent* collection simulations — each Run builds its own clock,
 // channel and seed space, and shares only the immutable Topology — so the
-// batch parallelizes perfectly. RunAll executes a batch on a bounded worker
-// pool and returns results in submission order; because the outcome of a
-// run depends only on its RunConfig (seeds are derived per run, never from
-// shared streams), a batch's results are byte-identical whether it executes
-// serially, on two workers, or on sixteen.
+// batch parallelizes perfectly. RunAllWorkers executes a batch on a bounded
+// worker pool and returns results in submission order; because the outcome
+// of a run depends only on its RunConfig (seeds are derived per run, never
+// from shared streams), a batch's results are byte-identical whether it
+// executes serially, on two workers, or on sixteen.
 
-// DefaultWorkers returns the worker-pool width used by RunAll: one worker
-// per schedulable CPU.
+// DefaultWorkers returns the default worker-pool width: one worker per
+// schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// RunAll executes the runs on DefaultWorkers() workers. results[i] is the
-// outcome of rcs[i].
-func RunAll(rcs []RunConfig) []*Result { return RunAllWorkers(rcs, DefaultWorkers()) }
 
 // shareChannelPre returns a copy of the batch in which every run whose
 // environment does not already carry a channel precompute gets one shared
@@ -169,26 +165,28 @@ func ReplicaSeeds(master uint64, n int) []uint64 {
 	return out
 }
 
-// Replicate runs rc under nSeeds seeds derived from rc.Seed on the default
-// worker pool and aggregates the results.
-func Replicate(rc RunConfig, nSeeds int) *Replicated {
-	return ReplicateWorkers(rc, nSeeds, DefaultWorkers())
+// Replicas expands rc into n copies under the seeds ReplicaSeeds derives
+// from rc.Seed; rcs[i] runs under seeds[i].
+func Replicas(rc RunConfig, n int) (rcs []RunConfig, seeds []uint64) {
+	seeds = ReplicaSeeds(rc.Seed, n)
+	rcs = make([]RunConfig, n)
+	for i, seed := range seeds {
+		rcs[i] = rc
+		rcs[i].Seed = seed
+	}
+	return rcs, seeds
 }
 
-// ReplicateWorkers is Replicate on an explicit worker count.
+// ReplicateWorkers runs rc under nSeeds seeds derived from rc.Seed on a
+// pool of workers and aggregates the results.
 func ReplicateWorkers(rc RunConfig, nSeeds int, workers int) *Replicated {
-	seeds := ReplicaSeeds(rc.Seed, nSeeds)
-	rcs := make([]RunConfig, nSeeds)
-	for i := range rcs {
-		rcs[i] = rc
-		rcs[i].Seed = seeds[i]
-	}
+	rcs, seeds := Replicas(rc, nSeeds)
 	return Aggregate(rc.Protocol, rc.TxPowerDBm, seeds, RunAllWorkers(rcs, workers))
 }
 
 // Aggregate assembles a Replicated from runs executed elsewhere (the sweep
-// engine batches every cell's replicas into one flat RunAll and regroups
-// through this). seeds[i] must be the seed runs[i] executed under.
+// engine batches every cell's replicas into one flat RunAllWorkers batch and
+// regroups through this). seeds[i] must be the seed runs[i] executed under.
 func Aggregate(p Protocol, txPowerDBm float64, seeds []uint64, runs []*Result) *Replicated {
 	rep := &Replicated{
 		Protocol:   p,

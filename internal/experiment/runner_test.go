@@ -114,7 +114,7 @@ func TestReplicateAggregates(t *testing.T) {
 	rc := DefaultRunConfig(Proto4B, topo.Mirage(9), 9)
 	rc.Duration = 2 * sim.Minute
 	rc.Warmup = 30 * sim.Second
-	rep := Replicate(rc, 3)
+	rep := ReplicateWorkers(rc, 3, DefaultWorkers())
 	if len(rep.Runs) != 3 || len(rep.Seeds) != 3 {
 		t.Fatalf("want 3 runs/seeds, got %d/%d", len(rep.Runs), len(rep.Seeds))
 	}

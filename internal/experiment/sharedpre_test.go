@@ -29,9 +29,9 @@ func TestReplicatePrecomputeOnce(t *testing.T) {
 		t.Skip("multi-run simulation")
 	}
 	before := phy.PrecomputeCount()
-	rep := Replicate(shortReplicaConfig(21), 8)
+	rep := ReplicateWorkers(shortReplicaConfig(21), 8, DefaultWorkers())
 	if got := phy.PrecomputeCount() - before; got != 1 {
-		t.Errorf("Replicate(8 seeds) paid %d channel precomputes, want 1", got)
+		t.Errorf("ReplicateWorkers(8 seeds) paid %d channel precomputes, want 1", got)
 	}
 	if len(rep.Runs) != 8 {
 		t.Fatalf("want 8 runs, got %d", len(rep.Runs))

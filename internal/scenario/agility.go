@@ -52,22 +52,16 @@ func AgilitySpecs(seed uint64, minutes float64) []Spec {
 		minutes = 25
 	}
 	var specs []Spec
-	for _, k := range experiment.EstCompareKinds {
-		specs = append(specs, Spec{
-			Name:        "agility-" + string(k),
-			Protocol:    "4B",
-			Estimator:   string(k),
-			Topology:    TopoSpec{Kind: "grid", Rows: 8, Cols: 8},
-			Seed:        seed,
-			TxPowerDBm:  experiment.EstComparePower(),
-			DurationMin: minutes,
-			TimelineS:   AgilityWindowS,
-			Dynamics: []Event{{
-				Kind:  "node-down",
-				AtMin: minutes * agilityDeathFrac,
-				Nodes: AgilityDeadNodes(),
-			}},
-		})
+	for _, k := range EstCompareKinds {
+		s := comparisonSpec(k, seed, minutes)
+		s.Name = "agility-" + string(k)
+		s.TimelineS = AgilityWindowS
+		s.Dynamics = []Event{{
+			Kind:  "node-down",
+			AtMin: minutes * agilityDeathFrac,
+			Nodes: AgilityDeadNodes(),
+		}}
+		specs = append(specs, s)
 	}
 	return specs
 }
@@ -77,7 +71,7 @@ type AgilityResult struct {
 	Seed     uint64
 	Minutes  float64
 	DeathMin float64
-	Runs     []*experiment.Result // ordered as experiment.EstCompareKinds
+	Runs     []*experiment.Result // ordered as EstCompareKinds
 }
 
 // RunAgility executes the agility figure on a worker pool.
@@ -96,12 +90,7 @@ func RunAgility(seed uint64, minutes float64, workers int) *AgilityResult {
 
 // ByKind returns the run for an estimator kind, or nil.
 func (r *AgilityResult) ByKind(k core.EstimatorKind) *experiment.Result {
-	for _, res := range r.Runs {
-		if res.Estimator == k {
-			return res
-		}
-	}
-	return nil
+	return byKind(r.Runs, k)
 }
 
 // Recovery computes the recovery-time metric for one estimator kind's run:
@@ -123,11 +112,16 @@ func (r *AgilityResult) Recovery(k core.EstimatorKind) (probe.Recovery, bool) {
 // event until the windowed cost returned to within AgilityEps of its
 // pre-event baseline. It prints nothing when the spec recorded no timeline
 // or scripted no dynamics — recovery is only defined against an event.
-// The baseline is measured from the end of warmup (or half the event time,
-// if the event precedes warmup's end) up to the event.
+// The baseline is measured from the end of the compiled run's warmup (or
+// half the event time, if the event precedes warmup's end) up to the
+// event.
 func FprintRecovery(w io.Writer, s *Spec, rep *experiment.Replicated) {
 	if s.TimelineS <= 0 || len(s.Dynamics) == 0 {
 		return
+	}
+	rc, err := s.RunConfig()
+	if err != nil {
+		panic(err) // a bug: rep came from running this spec, so it compiled
 	}
 	eventMin := s.Dynamics[0].AtMin
 	for _, e := range s.Dynamics[1:] {
@@ -136,11 +130,7 @@ func FprintRecovery(w io.Writer, s *Spec, rep *experiment.Replicated) {
 		}
 	}
 	event := sim.FromSeconds(eventMin * 60)
-	warmup := s.WarmupMin
-	if warmup == 0 {
-		warmup = 5 // experiment.DefaultRunConfig's warmup
-	}
-	baselineFrom := sim.FromSeconds(warmup * 60)
+	baselineFrom := rc.Warmup
 	if baselineFrom >= event {
 		baselineFrom = event / 2
 	}
@@ -207,7 +197,7 @@ func (r *AgilityResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Agility: parent death at minute %.1f (nodes %v down), %s windows, recovery band +%.0f%%\n",
 		r.DeathMin, AgilityDeadNodes(), (AgilityWindowS * sim.Second).String(), AgilityEps*100)
 	fmt.Fprintf(w, "cost per window relative to pre-death baseline ('|' = death; '.' within band, ':' <=1.5x, '=' <=2x, '+' <=3x, '*' <=5x, '#' >5x, '!' nothing delivered)\n\n")
-	for _, k := range experiment.EstCompareKinds {
+	for _, k := range EstCompareKinds {
 		res := r.ByKind(k)
 		if res == nil || res.Timeline == nil {
 			continue

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fourbit/internal/core"
-	"fourbit/internal/experiment"
 )
 
 var updateGoldens = flag.Bool("update-goldens", false, "rewrite the testdata/golden_*.txt figure goldens from the current model")
@@ -102,8 +101,8 @@ func checkGolden(t *testing.T, path, got string) {
 // timeline and the death event.
 func TestAgilitySpecsValid(t *testing.T) {
 	specs := AgilitySpecs(1, 0)
-	if len(specs) != len(experiment.EstCompareKinds) {
-		t.Fatalf("specs = %d, want %d", len(specs), len(experiment.EstCompareKinds))
+	if len(specs) != len(EstCompareKinds) {
+		t.Fatalf("specs = %d, want %d", len(specs), len(EstCompareKinds))
 	}
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {

@@ -1,6 +1,6 @@
 package scenario
 
-import "fourbit/internal/experiment"
+import "fourbit/internal/core"
 
 // NamedSpec is a ready-to-run scenario preset for the CLI.
 type NamedSpec struct {
@@ -32,9 +32,9 @@ func Presets() []NamedSpec {
 				TableSize: 4,
 			},
 		},
-		estKindPreset("grid-beacon-etx", "wmewma",
+		estKindPreset("grid-beacon-etx", core.KindWMEWMA,
 			"CTP on the comparison grid with the beacon-only WMEWMA estimator (fourbitsim compare runs all kinds)"),
-		estKindPreset("grid-pure-lqi", "lqi",
+		estKindPreset("grid-pure-lqi", core.KindLQI,
 			"CTP on the comparison grid with the pure-LQI moving-average estimator (the Figure 3 blindspot, table-driven)"),
 		{
 			Name: "corridor-marginal",
@@ -106,7 +106,7 @@ func Presets() []NamedSpec {
 // estimator kinds side by side.
 func deathRecoveryPreset() NamedSpec {
 	s := AgilitySpecs(1, 0)[0]
-	if s.Estimator != string(experiment.EstCompareKinds[0]) {
+	if s.Estimator != string(EstCompareKinds[0]) {
 		panic("scenario: agility specs no longer lead with the four-bit kind")
 	}
 	s.Name = "node-death-recovery"
@@ -158,17 +158,13 @@ func multiSinkCityPreset() NamedSpec {
 // fptr makes a pointer-valued ChannelSpec field literal.
 func fptr(v float64) *float64 { return &v }
 
-// estKindPreset derives a single-estimator preset from the comparison
-// figure's own specs, so preset conditions (grid, power, seed) track
-// experiment/estcompare.go instead of restating them.
-func estKindPreset(name, kind, desc string) NamedSpec {
-	for _, s := range EstCompareSpecs(1, 0) {
-		if s.Estimator == kind {
-			s.Name = name
-			return NamedSpec{Name: name, Desc: desc, Spec: s}
-		}
-	}
-	panic("scenario: estimator kind not in the comparison figure: " + kind)
+// estKindPreset is a single-estimator run of the comparison figure, built
+// by its comparisonSpec so preset conditions (grid, power) track the
+// figure instead of restating them.
+func estKindPreset(name string, kind core.EstimatorKind, desc string) NamedSpec {
+	s := comparisonSpec(kind, 1, 0)
+	s.Name = name
+	return NamedSpec{Name: name, Desc: desc, Spec: s}
 }
 
 // Preset looks a preset up by name.

@@ -376,12 +376,7 @@ func (s *Spec) Batch() ([]experiment.RunConfig, []uint64, error) {
 	if s.Replicates <= 1 {
 		return []experiment.RunConfig{rc}, []uint64{rc.Seed}, nil
 	}
-	seeds := experiment.ReplicaSeeds(s.Seed, s.Replicates)
-	rcs := make([]experiment.RunConfig, len(seeds))
-	for i, seed := range seeds {
-		rcs[i] = rc
-		rcs[i].Seed = seed
-	}
+	rcs, seeds := experiment.Replicas(rc, s.Replicates)
 	return rcs, seeds, nil
 }
 
