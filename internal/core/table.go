@@ -61,18 +61,27 @@ func (e *Entry) LastHeard() sim.Time { return e.lastHeard }
 //
 // Lookups are the hottest operation in the whole simulator (parent
 // selection queries the table for every routing candidate on every beacon
-// and every data transmission), so the table keeps a dense address→slot
-// index beside the ordered entry list: Find is O(1), while insertion order
-// — which the footer round-robin, eviction tie-breaking and random-victim
-// draws all observe — is preserved exactly by the entry list.
+// and every data transmission), so beside the ordered entry list the table
+// keeps a hash index from address to the entry's position in the slab that
+// stores it. The index is sized by the entries the table holds, not by the
+// address space, and Find is O(1) with one probe in the common case. Slab
+// positions never move, so splicing the entry list leaves the index alone.
+// Insertion order — which the footer round-robin, eviction tie-breaking
+// and random-victim draws all observe — is preserved exactly by the entry
+// list.
 type Table struct {
 	cap     int
 	entries []*Entry
-	index   []int32 // addr → slot+1 in entries; 0 = absent
-	free    []*Entry
-	slab    []Entry // backing storage; one allocation for all entries ever
-	scratch []int   // victim-candidate buffer for EvictRandomUnpinned
+	index   packet.AddrMap[int32] // addr → position of its Entry in slab
+	free    []int32               // slab positions of removed entries, for reuse
+	slab    []Entry               // backing storage; one allocation for all entries ever
+	scratch []int                 // victim-candidate buffer for evictRandomUnpinned
 }
+
+// maxReservedEntries bounds the index pre-size: an ordinary table
+// (capacity 10) gets an index that never regrows, while an effectively
+// unlimited one (capacity 4096) grows with the neighbors it admits.
+const maxReservedEntries = 32
 
 func newTable(capacity int) *Table {
 	return &Table{cap: capacity}
@@ -86,21 +95,10 @@ func (t *Table) Len() int { return len(t.entries) }
 
 // Find returns the entry for addr, or nil.
 func (t *Table) Find(addr packet.Addr) *Entry {
-	if int(addr) < len(t.index) {
-		if p := t.index[addr]; p > 0 {
-			return t.entries[p-1]
-		}
+	if p := t.index.Get(addr); p != nil {
+		return &t.slab[*p]
 	}
 	return nil
-}
-
-func (t *Table) setIndex(addr packet.Addr, slot int) {
-	if int(addr) >= len(t.index) {
-		grown := make([]int32, int(addr)+1)
-		copy(grown, t.index)
-		t.index = grown
-	}
-	t.index[addr] = int32(slot + 1)
 }
 
 // Insert adds a fresh entry for addr if there is room, returning it; it
@@ -113,47 +111,40 @@ func (t *Table) Insert(addr packet.Addr) *Entry {
 	if len(t.entries) >= t.cap {
 		return nil
 	}
-	var e *Entry
+	var p int32
 	if n := len(t.free); n > 0 {
-		e = t.free[n-1]
+		p = t.free[n-1]
 		t.free = t.free[:n-1]
-		*e = Entry{Addr: addr}
+		t.slab[p] = Entry{Addr: addr}
 	} else {
 		// Entries come from a lazily-built slab: at most cap distinct
 		// Entry objects ever exist (evicted ones recycle through free),
 		// so the slab never reallocates and the pointers stay stable.
 		if t.slab == nil {
 			t.slab = make([]Entry, 0, t.cap)
+			t.index.Reserve(min(t.cap, maxReservedEntries))
 		}
+		p = int32(len(t.slab))
 		t.slab = append(t.slab, Entry{Addr: addr})
-		e = &t.slab[len(t.slab)-1]
 	}
+	e := &t.slab[p]
 	t.entries = append(t.entries, e)
-	t.setIndex(addr, len(t.entries)-1)
+	t.index.Set(addr, p)
 	return e
 }
 
-// removeAt splices out the entry at slot i, maintaining the index for every
-// shifted entry and recycling the removed Entry.
+// removeAt splices out the entry at position i of the entry list and
+// recycles its slab position.
 func (t *Table) removeAt(i int) {
-	e := t.entries[i]
+	a := t.entries[i].Addr
+	t.free = append(t.free, *t.index.Get(a))
 	t.entries = append(t.entries[:i], t.entries[i+1:]...)
-	for j := i; j < len(t.entries); j++ {
-		t.index[t.entries[j].Addr] = int32(j + 1)
-	}
-	t.index[e.Addr] = 0
-	t.free = append(t.free, e)
+	t.index.Delete(a)
 }
 
-// EvictRandomUnpinned removes one uniformly-chosen unpinned entry — the
-// replacement policy of §3.3 — and reports whether a slot was freed.
-func (t *Table) EvictRandomUnpinned(rng *sim.Rand) bool {
-	_, ok := t.evictRandomUnpinned(rng)
-	return ok
-}
-
-// evictRandomUnpinned is EvictRandomUnpinned naming its victim, for callers
-// that report the eviction (the probe bus's table events).
+// evictRandomUnpinned removes one uniformly-chosen unpinned entry — the
+// replacement policy of §3.3 — and names its victim; ok is false when every
+// entry is pinned.
 func (t *Table) evictRandomUnpinned(rng *sim.Rand) (packet.Addr, bool) {
 	victims := t.scratch[:0]
 	for i, e := range t.entries {
@@ -174,10 +165,12 @@ func (t *Table) evictRandomUnpinned(rng *sim.Rand) (packet.Addr, bool) {
 // Remove deletes addr from the table (regardless of pinning; the network
 // layer unpins before asking). It reports whether the entry existed.
 func (t *Table) Remove(addr packet.Addr) bool {
-	if int(addr) < len(t.index) {
-		if p := t.index[addr]; p > 0 {
-			t.removeAt(int(p - 1))
-			return true
+	if e := t.Find(addr); e != nil {
+		for i, x := range t.entries {
+			if x == e {
+				t.removeAt(i)
+				return true
+			}
 		}
 	}
 	return false

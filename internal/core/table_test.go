@@ -63,7 +63,10 @@ func TestEvictionNeverTouchesPinned(t *testing.T) {
 	tb.Pin(1)
 	tb.Pin(3)
 	// Evict both unpinned entries.
-	if !tb.EvictRandomUnpinned(rng) || !tb.EvictRandomUnpinned(rng) {
+	if _, ok := tb.evictRandomUnpinned(rng); !ok {
+		t.Fatal("eviction of unpinned entries failed")
+	}
+	if _, ok := tb.evictRandomUnpinned(rng); !ok {
 		t.Fatal("eviction of unpinned entries failed")
 	}
 	if tb.Find(1) == nil || tb.Find(3) == nil {
@@ -73,7 +76,7 @@ func TestEvictionNeverTouchesPinned(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", tb.Len())
 	}
 	// Only pinned entries remain: eviction must now fail.
-	if tb.EvictRandomUnpinned(rng) {
+	if _, ok := tb.evictRandomUnpinned(rng); ok {
 		t.Fatal("eviction succeeded with only pinned entries")
 	}
 }
@@ -88,7 +91,7 @@ func TestEvictionIsRandomAcrossVictims(t *testing.T) {
 			tb.Insert(packet.Addr(i))
 		}
 		tb.Pin(5)
-		tb.EvictRandomUnpinned(rng)
+		tb.evictRandomUnpinned(rng)
 		for i := 1; i <= 5; i++ {
 			if tb.Find(packet.Addr(i)) == nil {
 				hits[packet.Addr(i)]++
@@ -126,7 +129,7 @@ func TestPropertyTableInvariants(t *testing.T) {
 					delete(pinned, addr)
 				}
 			case 4:
-				tb.EvictRandomUnpinned(rng)
+				tb.evictRandomUnpinned(rng)
 			}
 			if tb.Len() > tb.Cap() {
 				return false
@@ -141,5 +144,45 @@ func TestPropertyTableInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Find must stay consistent while removeAt splices the entry list (every
+// later entry shifts down one) and Insert recycles the freed slab
+// positions. Addresses span the whole unicast space so the index's probe
+// runs wrap.
+func TestTableFindAfterRemoveShifts(t *testing.T) {
+	tb := newTable(40)
+	for _, a := range []packet.Addr{7, 65000, 39, 3, 64999, 71, 1024, 2048, 12, 5, 9} {
+		tb.Insert(a)
+	}
+	rng := sim.NewRand(3)
+	for round := packet.Addr(0); tb.Len() > 0; round++ {
+		if e := tb.Insert(30000 + round); e == nil || e.Addr != 30000+round {
+			t.Fatalf("Insert(%d) into a recycled slot failed", 30000+round)
+		}
+		before := map[packet.Addr]bool{}
+		for _, e := range tb.Entries() {
+			before[e.Addr] = true
+		}
+		for k := 0; k < 2; k++ {
+			if _, ok := tb.evictRandomUnpinned(rng); !ok {
+				t.Fatal("eviction failed with unpinned entries left")
+			}
+		}
+		if tb.Len() > 0 && !tb.Remove(tb.Entries()[0].Addr) {
+			t.Fatal("Remove of the head entry failed")
+		}
+		for i, e := range tb.Entries() {
+			if tb.Find(e.Addr) != e {
+				t.Fatalf("Find(%d) lost the entry now at slot %d", e.Addr, i)
+			}
+			delete(before, e.Addr)
+		}
+		for a := range before {
+			if tb.Find(a) != nil {
+				t.Fatalf("Find(%d) returned a removed entry", a)
+			}
+		}
 	}
 }

@@ -82,17 +82,21 @@ type Stats struct {
 // Deliver is the root's upward delivery callback.
 type Deliver func(origin packet.Addr, originSeq uint8, thl uint8, data []byte)
 
-// routeEntry is what we know about a neighbor's advertised route. Entries
-// live in a dense array indexed by neighbor address (addresses are small
-// integers); known marks occupied slots. The array layout keeps parent
-// selection — which runs on every beacon and every data transmission —
-// free of map hashing.
-type routeEntry struct {
-	known     bool
-	cost      float64 // advertised path ETX
-	parent    packet.Addr
-	lastHeard sim.Time
+// route is what we know about a neighbor's advertised route. Routes live
+// in a packet.AddrMap keyed by neighbor address, one entry per neighbor
+// heard, so memory follows the neighbors a node hears, not the address
+// space. The route sits in the map's cell, so parent selection — which
+// runs on every beacon and every data transmission — reads a neighbor's
+// route in one memory access.
+type route struct {
+	cost   float64 // advertised path ETX
+	parent packet.Addr
 }
+
+// reservedRoutes pre-sizes the route map to 16 cells, so the first
+// neighbors a node hears cost no regrowth; larger neighborhoods grow it by
+// doubling.
+const reservedRoutes = 8
 
 const noCost = math.MaxFloat64
 
@@ -113,7 +117,7 @@ type Node struct {
 	deliver Deliver
 
 	// Routing engine state.
-	routes        []routeEntry // dense, indexed by neighbor address
+	routes        packet.AddrMap[route] // every neighbor heard beaconing
 	parent        packet.Addr
 	cost          float64
 	interval      sim.Time
@@ -169,6 +173,7 @@ func New(clock *sim.Simulator, m *mac.MAC, est core.LinkEstimator, isRoot bool, 
 	if isRoot {
 		n.cost = 0
 	}
+	n.routes.Reserve(reservedRoutes)
 	n.beacon = clock.NewTimer(n.beaconFire)
 	n.pumpFn = n.pump
 	n.beaconDone = func(mac.TxResult) { n.pump() }

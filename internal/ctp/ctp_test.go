@@ -63,3 +63,29 @@ func TestDupCachePropertyNeverExceedsCap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The route map holds one entry per neighbor heard, however far apart
+// their addresses: beacons from 1 and 65000 cost two entries in at most 16
+// cells, not a 65001-slot address-indexed array.
+func TestRouteCacheSizedByNeighborsHeard(t *testing.T) {
+	r := newRig(t, 1, [][2]float64{{0, 0}, {42, 0}}, DefaultConfig())
+	n := r.nodes[1]
+	n.handleBeacon(1, &packet.CTPBeacon{Parent: 0, ETX: 15})
+	n.handleBeacon(65000, &packet.CTPBeacon{Parent: 3, ETX: 40})
+	n.handleBeacon(1, &packet.CTPBeacon{Parent: 0, ETX: 12})
+	if n.routes.Len() != 2 {
+		t.Fatalf("%d route entries after beacons from 2 neighbors, want 2", n.routes.Len())
+	}
+	if s := n.routes.Slots(); s > 16 {
+		t.Fatalf("route map holds %d cells for 2 neighbors, want ≤ 16", s)
+	}
+	if e := n.routes.Get(1); e == nil || e.cost != 1.2 || e.parent != 0 {
+		t.Fatalf("route to 1 = %+v, want the latest beacon's cost 1.2 via 0", e)
+	}
+	if e := n.routes.Get(65000); e == nil || e.cost != 4 || e.parent != 3 {
+		t.Fatalf("route to 65000 = %+v, want cost 4 via 3", e)
+	}
+	if n.routes.Get(2) != nil {
+		t.Fatal("route found to a neighbor never heard")
+	}
+}

@@ -32,8 +32,8 @@ func (n *Node) handleBeacon(src packet.Addr, cb *packet.CTPBeacon) {
 	if cb.ETX != invalidETX {
 		cost = float64(cb.ETX) / 10
 	}
-	e := n.routeFor(src)
-	e.cost, e.parent, e.lastHeard = cost, cb.Parent, n.clock.Now()
+	e := n.routes.Put(src)
+	e.cost, e.parent = cost, cb.Parent
 	// A pull-flagged beacon asks route-holding neighbors to beacon soon.
 	if cb.Options&packet.CTPOptPull != 0 && n.hasRoute() {
 		n.trickleReset()
@@ -43,31 +43,10 @@ func (n *Node) handleBeacon(src packet.Addr, cb *packet.CTPBeacon) {
 
 func (n *Node) hasRoute() bool { return n.isRoot || n.parent != packet.None }
 
-// routeFor returns the route slot for a, growing the dense table and
-// registering the address on first contact.
-func (n *Node) routeFor(a packet.Addr) *routeEntry {
-	if int(a) >= len(n.routes) {
-		grown := make([]routeEntry, int(a)+1)
-		copy(grown, n.routes)
-		n.routes = grown
-	}
-	e := &n.routes[a]
-	e.known = true
-	return e
-}
-
-// route returns the route slot for a, or nil if we never heard it beacon.
-func (n *Node) route(a packet.Addr) *routeEntry {
-	if int(a) < len(n.routes) && n.routes[a].known {
-		return &n.routes[a]
-	}
-	return nil
-}
-
 // totalCost returns the path ETX through neighbor a: its advertised cost
 // plus our link's estimated ETX. ok is false when either half is unknown.
 func (n *Node) totalCost(a packet.Addr) (float64, bool) {
-	r := n.route(a)
+	r := n.routes.Get(a)
 	if r == nil || r.cost == noCost {
 		return 0, false
 	}
@@ -99,7 +78,7 @@ func (n *Node) updateRoute() {
 			continue
 		}
 		a := e.Addr
-		r := n.route(a)
+		r := n.routes.Get(a)
 		if r == nil || r.cost == noCost || r.parent == n.self {
 			continue
 		}
@@ -249,7 +228,7 @@ func (n *Node) CompareBit(src packet.Addr, netPayload []byte) bool {
 		if !ok {
 			continue
 		}
-		r := n.route(a)
+		r := n.routes.Get(a)
 		if r == nil || r.cost == noCost {
 			continue
 		}

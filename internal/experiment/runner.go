@@ -225,7 +225,7 @@ func (r *Replicated) Fprint(w io.Writer) {
 	if r.Estimator != "" {
 		label += " (estimator " + string(r.Estimator) + ")"
 	}
-	fmt.Fprintf(w, "%s at %.0f dBm over %d seeds:\n", label, r.TxPowerDBm, len(r.Runs))
+	fmt.Fprintf(w, "%s at %g dBm over %d seeds:\n", label, r.TxPowerDBm, len(r.Runs))
 	fmt.Fprintf(w, "  cost      %s\n", r.Cost)
 	fmt.Fprintf(w, "  delivery  %.3f ±%.3f\n", r.Delivery.Mean, r.Delivery.Stddev)
 	fmt.Fprintf(w, "  depth     %s\n", r.MeanDepth)

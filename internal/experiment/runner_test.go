@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -127,6 +128,21 @@ func TestReplicateAggregates(t *testing.T) {
 	}
 	if rep.Delivery.Mean <= 0 || rep.Delivery.Mean > 1 {
 		t.Errorf("delivery mean out of range: %v", rep.Delivery.Mean)
+	}
+}
+
+// The summary header prints the transmit power exactly: a −12.5 dBm run
+// must not be labelled with a rounded neighbor.
+func TestReplicatedFprintExactPower(t *testing.T) {
+	for _, tc := range []struct {
+		dBm  float64
+		want string
+	}{{-12.5, "4B at -12.5 dBm over 2 seeds:"}, {0, "4B at 0 dBm over 2 seeds:"}} {
+		var b strings.Builder
+		(&Replicated{Protocol: Proto4B, TxPowerDBm: tc.dBm, Runs: make([]*Result, 2)}).Fprint(&b)
+		if got, _, _ := strings.Cut(b.String(), "\n"); got != tc.want {
+			t.Errorf("header at %v dBm = %q, want %q", tc.dBm, got, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"testing"
 
 	"fourbit/internal/experiment"
@@ -95,6 +96,11 @@ func TestMultiSinkSmoke(t *testing.T) {
 // boot, form the first tree layers around the root, and deliver traffic.
 // CI runs this under the race detector (the `city-scale-smoke` step); the
 // simulated duration is cut far below the preset's so that stays fast.
+//
+// It also guards per-node memory. Neighbor state sized by the address
+// space (each node holding a slot for every address up to the largest it
+// heard) allocates over 600 MB in this run; state sized by the neighbors a
+// node hears allocates about 175 MB.
 func TestCityScaleSmoke(t *testing.T) {
 	p, _ := Preset("city-corridor-2k")
 	p.Spec.DurationMin = 0.2 // 12 s simulated: boot window + first samples
@@ -105,13 +111,23 @@ func TestCityScaleSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	cityRunConfig(t, "city-corridor-2k") // representation pin on the real preset
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	res := experiment.Run(rc)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc > cityAllocBudget {
+		t.Errorf("city smoke allocated %d MB, budget %d MB", alloc>>20, cityAllocBudget>>20)
+	}
 	if res.Generated == 0 {
 		t.Fatal("city smoke generated no traffic")
 	}
 	if res.Unique == 0 {
 		t.Fatal("city smoke delivered nothing; network degenerate")
 	}
-	t.Logf("2k smoke: generated=%d unique=%d delivery=%.2f events=%d",
-		res.Generated, res.Unique, res.DeliveryRatio, res.Events)
+	t.Logf("2k smoke: generated=%d unique=%d delivery=%.2f events=%d allocated=%d MB",
+		res.Generated, res.Unique, res.DeliveryRatio, res.Events, alloc>>20)
 }
+
+// cityAllocBudget bounds the bytes TestCityScaleSmoke's run may allocate.
+const cityAllocBudget = 300 << 20
